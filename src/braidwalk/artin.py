@@ -1,4 +1,4 @@
-"""The Artin representation B_n -> Aut(F_n): the faithful equality oracle.
+"""The Artin representation B_n -> Aut(F_n) and the braid equality oracle.
 
 Calibrated generator action (frozen; see the calibration tests):
 
@@ -9,12 +9,22 @@ composed incrementally left-to-right, so that the images of u.v are the
 images of v substituted into the images of u — i.e. Phi(uv) = Phi(u) o Phi(v).
 This is the unique member of the standard convention set that reproduces the
 reference gamma(x_4) values.
+
+The exact images are built by `_images`, which keeps every image next to its
+inverse as signed 16-bit arrays and joins them at the junction with C-level
+slice operations.  `braid_equal` puts cheap stages in front of it: the
+induced permutation, the exponent sum, and `_fingerprint`, the same action
+evaluated in two seeded representations F_n -> SL_2(F_p), p = 2^61 - 1.
+Nothing here uses the combing code, so the oracle stays independent of it.
 """
 
 from __future__ import annotations
 
+import hashlib
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .braids import BraidWord, PureWord, is_pure, perm, to_braid
@@ -36,16 +46,44 @@ def _subst(images: list[list[int]], word: Sequence[int]) -> list[int]:
     return buf
 
 
-def _gen_images(letter: int, n: int) -> list[list[int]]:
-    i = abs(letter)
-    g = [[k] for k in range(1, n + 1)]
-    if letter > 0:
-        g[i - 1] = [i, i + 1, -i]
-        g[i] = [i]
-    else:
-        g[i - 1] = [i + 1]
-        g[i] = [-(i + 1), i, i + 1]
-    return g
+_PROBE = 8  # cancellations up to this length are found letter by letter
+
+
+def _join(x: array, xi: array, y: array, yi: array) -> tuple[array, array]:
+    """(x y, (x y)^-1), reduced, for reduced x, y with inverses xi, yi.
+
+    The letters cancelled at the junction are the common prefix of x^-1 and
+    y; its length k is probed letter by letter up to _PROBE, then found by
+    galloping and bisection on slice comparisons.
+    """
+    if not xi or not y or xi[0] != y[0]:
+        return x + y, yi + xi
+    m = min(len(xi), len(y))
+    k = 1
+    while k < m and k < _PROBE and xi[k] == y[k]:
+        k += 1
+    if k == _PROBE and k < m:
+        lo, hi = k, m + 1  # xi[:lo] == y[:lo]; the prefix of length hi fails
+        while lo < m:
+            t = min(2 * lo, m)
+            if xi[lo:t] != y[lo:t]:
+                hi = t
+                break
+            lo = t
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if xi[lo:mid] == y[lo:mid]:
+                lo = mid
+            else:
+                hi = mid
+        k = lo
+    return x[:len(x) - k] + y[k:], yi[:len(yi) - k] + xi[k:]
+
+
+@lru_cache(maxsize=None)
+def _generator_pairs(n: int) -> tuple[tuple[array, array], ...]:
+    return tuple((array("h", (k,)), array("h", (-k,)))
+                 for k in range(1, n + 1))
 
 
 def _images(sigma_letters: Sequence[int], n: int,
@@ -53,28 +91,89 @@ def _images(sigma_letters: Sequence[int], n: int,
     """Images of x_1..x_n under the composed automorphism of the word.
 
     Each generator touches only two images, so only those are rebuilt; the
-    rest are shared by reference (image lists are never mutated in place).
+    rest are shared by reference (image arrays are never mutated in place).
     With a budget, raises ImageBudgetError once the total letter count of
     the images passes it (image sizes can grow exponentially in word length).
     """
-    ims: list[list[int]] = [[k] for k in range(1, n + 1)]
+    ims = list(_generator_pairs(n))
     total = n
     for l in sigma_letters:
         i = abs(l)
-        a, b = ims[i - 1], ims[i]
-        la, lb = len(a), len(b)
+        a, ai = ims[i - 1]
+        b, bi = ims[i]
         if l > 0:  # x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i
-            ims[i - 1] = _red_append(_red_append(list(a), b), _inv(a))
-            ims[i] = a
+            ims[i - 1] = _join(*_join(a, ai, b, bi), ai, a)
+            ims[i] = (a, ai)
         else:  # x_i -> x_{i+1}, x_{i+1} -> x_{i+1}^-1 x_i x_{i+1}
-            ims[i - 1] = b
-            ims[i] = _red_append(_red_append(_inv(b), a), b)
+            ims[i - 1] = (b, bi)
+            ims[i] = _join(*_join(bi, b, a, ai), b, bi)
         if budget is not None:
-            total += len(ims[i - 1]) + len(ims[i]) - la - lb
+            total += (len(ims[i - 1][0]) + len(ims[i][0])
+                      - len(a) - len(b))
             if total > budget:
                 raise ImageBudgetError(
                     f"image letters exceeded budget {budget}")
-    return tuple(tuple(w) for w in ims)
+    return tuple(tuple(w) for w, _ in ims)
+
+
+# ---------------------------------------------------------------------------
+# SL_2(F_p) fingerprint of the action
+# ---------------------------------------------------------------------------
+
+_P = (1 << 61) - 1  # a Mersenne prime
+_FP_SEEDS = (1, 2)
+
+
+@lru_cache(maxsize=None)
+def _fp_generators(n: int, seed: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Seeded images of x_1..x_n in SL_2(F_p), as (a, b, c, d) row-major.
+
+    Each is [[1, b], [0, 1]] [[1, 0], [c, 1]] [[1, d], [0, 1]] with b, c, d
+    drawn by hashing (n, seed, generator), so every process agrees.
+    """
+    gens = []
+    for k in range(1, n + 1):
+        b, c, d = (int.from_bytes(hashlib.blake2b(
+            f"braidwalk-sl2:{n}:{seed}:{k}:{j}".encode(),
+            digest_size=16).digest(), "big") % _P for j in range(3))
+        bc = (1 + b * c) % _P
+        gens.append((bc, (bc * d + b) % _P, c, (c * d + 1) % _P))
+    return tuple(gens)
+
+
+def _fingerprint(sigma_letters: Sequence[int], n: int,
+                 seed: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The images of x_1..x_n under the word, evaluated in SL_2(F_p) in the
+    representation that `seed` picks.
+
+    The update mirrors `_images` letter for letter: for sigma_i,
+    M_i <- M_i M_{i+1} M_i^-1 and M_{i+1} <- M_i; for sigma_i^-1,
+    M_i <- M_{i+1} and M_{i+1} <- M_{i+1}^-1 M_i M_{i+1}.  Inverses are
+    adjugates, since every matrix has determinant 1.  Equal braids give equal
+    fingerprints; see `braid_equal` for the bound the other way.
+    """
+    p = _P
+    ms = list(_fp_generators(n, seed))
+    for l in sigma_letters:
+        if l > 0:
+            i = l - 1
+            a, b, c, d = A = ms[i]
+            e, f, g, h = ms[i + 1]
+            p0, p1 = a * e + b * g, a * f + b * h  # A B, reduced below
+            p2, p3 = c * e + d * g, c * f + d * h
+            ms[i] = ((p0 * d - p1 * c) % p, (p1 * a - p0 * b) % p,
+                     (p2 * d - p3 * c) % p, (p3 * a - p2 * b) % p)
+            ms[i + 1] = A
+        else:
+            i = -l - 1
+            a, b, c, d = ms[i]
+            e, f, g, h = B = ms[i + 1]
+            q0, q1 = h * a - f * c, h * b - f * d  # B^-1 A, reduced below
+            q2, q3 = e * c - g * a, e * d - g * b
+            ms[i + 1] = ((q0 * e + q1 * g) % p, (q0 * f + q1 * h) % p,
+                         (q2 * e + q3 * g) % p, (q2 * f + q3 * h) % p)
+            ms[i] = B
+    return tuple(ms)
 
 
 @dataclass(frozen=True)
@@ -116,27 +215,45 @@ def braid_equal(u: "BraidWord | PureWord", v: "BraidWord | PureWord",
                 image_budget: "int | None" = DEFAULT_IMAGE_BUDGET) -> bool:
     """Equality in B_n, decided by the (faithful) Artin representation.
 
-    Two cheap necessary invariants (induced permutation, exponent sum) run
-    first.  The image comparison is attempted within image_budget total
-    letters; words whose images blow up past that fall back to comparing
-    normal forms, a complete invariant whose letter-level action data is
-    certified against the image oracle.  image_budget=None forces the
-    direct image comparison regardless of size.
+    Stages, in order:
+
+    1. the induced permutations;
+    2. the exponent sums;
+    3. the SL_2(F_p) fingerprint (`_fingerprint`), seed by seed;
+    4. the exact Artin images, compared within image_budget total letters
+       (image_budget=None compares them regardless of size);
+    5. past the budget, the fingerprint's "equal" is the verdict.
+
+    Each of stages 1-3 is a homomorphic invariant, so "not equal" is always
+    a proof.  If the images differ, let L be the combined reduced length of
+    two images of one x_k that differ, A and B.  With b, c, d uniform in
+    F_p, one seed misses the difference with probability at most 2L/p:
+    every letter's matrix has entry degrees [[2, 3], [1, 2]] in b, c, d, so
+    the lower-left entry of the evaluated word A B^-1 is a polynomial of
+    degree below 2L.  It is not the zero polynomial: otherwise the word map
+    would take upper-triangular values on all of SL_2^n and so, by
+    conjugation, values in the centre {1, -1}; its image is connected, so
+    it would be an identity on SL_2, which no nontrivial word is (Borel
+    1983).  Schwartz-Zippel gives the bound.  The two seeds are independent,
+    so "equal" past the budget is a Monte Carlo verdict, wrong with
+    probability at most (2L/p)^2.
     """
     if u.n != v.n:
         raise ValueError("strand count mismatch")
+    n = u.n
     lu, lv = _sigma_letters(u), _sigma_letters(v)
-    if perm(BraidWord(u.n, lu)) != perm(BraidWord(v.n, lv)):
+    if perm(BraidWord(n, lu)) != perm(BraidWord(n, lv)):
         return False
     if sum(1 if l > 0 else -1 for l in lu) != sum(1 if l > 0 else -1
                                                   for l in lv):
         return False
+    for seed in _FP_SEEDS:
+        if _fingerprint(lu, n, seed) != _fingerprint(lv, n, seed):
+            return False
     try:
-        return (_images(lu, u.n, image_budget)
-                == _images(lv, v.n, image_budget))
+        return _images(lu, n, image_budget) == _images(lv, n, image_budget)
     except ImageBudgetError:
-        from .combing import mi_braid
-        return mi_braid(BraidWord(u.n, lu)) == mi_braid(BraidWord(v.n, lv))
+        return True
 
 
 def a_word(gamma: "BraidWord | PureWord", i: int) -> ReducedWord:

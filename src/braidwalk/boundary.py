@@ -169,9 +169,12 @@ def min_convolution_hit(mu: Sequence[tuple[object, Fraction]], g: object,
     Elements are braid words (equality by the Artin oracle) or reduced free
     words (equality by reduction); mu atoms must all be one kind.
     """
-    from .artin import _images
+    from .artin import _images, _subst
     from .braids import BraidWord
 
+    # Products are tracked by key only.  A braid's key is its tuple of Artin
+    # images, so the key of x.y is composed from the keys of x and y through
+    # Phi(xy)(x_k) = Phi(x)(Phi(y)(x_k)); a free word's key is its letters.
     def key(el):
         if isinstance(el, BraidWord):
             return _images(el.letters, el.n)
@@ -179,27 +182,26 @@ def min_convolution_hit(mu: Sequence[tuple[object, Fraction]], g: object,
             return el.letters
         raise TypeError(f"unsupported element type {type(el).__name__}")
 
-    def mul(x, y):
-        if isinstance(x, BraidWord):
-            return x * y
-        return concat(x, y)
+    def compose(kx, ky, el):
+        if isinstance(el, BraidWord):
+            return tuple(tuple(_subst(kx, w)) for w in ky)
+        return concat(ReducedWord(kx, el.rank), el).letters
 
     target = key(g)
+    atoms = [(el, key(el), wt) for el, wt in mu]
     # s = 0 is the point mass at the identity; the search starts at s = 1
-    current: dict[object, tuple[Fraction, object]] = {None: (Fraction(1), None)}
+    current: dict[object, Fraction] = {None: Fraction(1)}
     for s in range(1, s_max + 1):
-        nxt: dict[object, tuple[Fraction, object]] = {}
-        for _, (mass, rep) in current.items():
-            for el, wt in mu:
-                prod = el if rep is None else mul(rep, el)
-                kk = key(prod)
-                old = nxt.get(kk)
-                nxt[kk] = (old[0] + mass * wt if old else mass * wt, prod)
+        nxt: dict[object, Fraction] = {}
+        for kr, mass in current.items():
+            for el, ke, wt in atoms:
+                kk = ke if kr is None else compose(kr, ke, el)
+                nxt[kk] = nxt.get(kk, 0) + mass * wt
         current = nxt
         hit = current.get(target)
-        if hit is not None and hit[0] > 0:
-            cp = 1 / hit[0]
-            return ConvolutionHit(s, hit[0], cp, 1 / (1 + cp))
+        if hit is not None and hit > 0:
+            cp = 1 / hit
+            return ConvolutionHit(s, hit, cp, 1 / (1 + cp))
     return None
 
 

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 parse error (with token
-position), 3 length-guard abort.
+Exit codes: 0 success, 1 verification failure, 2 invalid input (a parse
+error names its token position), 3 length-guard abort.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from . import reference
 from .artin import a_word, apply_braid, braid_equal
 from .braids import (BraidWord, PureWord, is_pure, parse_braid,
                      parse_braid_tokens, to_braid)
-from .combing import (LengthGuardError, MIStepper, central_element,
-                      print_mi)
+from .combing import (DEFAULT_LENGTH_GUARD, LengthGuardError, MIStepper,
+                      central_element, print_mi)
 from .experiments import (artin_convergence_run, emit, selective_run,
                           stabilization_run, theorem2_run)
 from .walks import (GeneratorDistribution, WalkConfig, load_distribution,
@@ -45,6 +45,9 @@ def _guarded(f):
         except _Status as exc:
             click.echo(str(exc), err=True)
             sys.exit(exc.code)
+        except ValueError as exc:
+            click.echo(f"invalid input: {exc}", err=True)
+            sys.exit(2)
     wrapper.__name__ = f.__name__
     wrapper.__doc__ = f.__doc__
     return wrapper
@@ -92,6 +95,11 @@ def _resolve_dist(dist: str, n: int) -> GeneratorDistribution:
         return load_distribution(fh.read())
 
 
+_MODES = ("stabilization", "theorem2", "selective", "artin")
+_CONFIG_KEYS = {"n", "steps", "paths", "seed", "checkpoints", "distribution",
+                "mode", "length_guard", "i"}
+
+
 @main.command("walk")
 @click.option("--config", "config_path", type=click.Path(exists=True),
               help="JSON config file (overrides the individual flags)")
@@ -103,8 +111,7 @@ def _resolve_dist(dist: str, n: int) -> GeneratorDistribution:
               help="uniform-s | uniform-sigma | path to distribution JSON")
 @click.option("--checkpoints", default="", help="comma-separated steps")
 @click.option("--mode", default="stabilization", show_default=True,
-              type=click.Choice(["stabilization", "theorem2", "selective",
-                                 "artin"]))
+              type=click.Choice(_MODES))
 @click.option("--i", "index", default=4, help="x-index for artin mode")
 @click.option("--out", default="-", show_default=True)
 @click.option("--format", "fmt", default="csv", show_default=True,
@@ -113,9 +120,15 @@ def _resolve_dist(dist: str, n: int) -> GeneratorDistribution:
 def walk_cmd(config_path, n, steps, paths, seed, dist, checkpoints, mode,
              index, out, fmt):
     """Run a seeded random-walk experiment and emit its report."""
+    length_guard = DEFAULT_LENGTH_GUARD
     if config_path:
         with open(config_path) as fh:
             obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise _Status(2, "config must be a JSON object")
+        unknown = sorted(set(obj) - _CONFIG_KEYS)
+        if unknown:
+            raise _Status(2, f"unknown config key(s): {', '.join(unknown)}")
         n = obj.get("n", n)
         steps = obj.get("steps", steps)
         paths = obj.get("paths", paths)
@@ -124,15 +137,23 @@ def walk_cmd(config_path, n, steps, paths, seed, dist, checkpoints, mode,
         distribution = (load_distribution(json.dumps(obj["distribution"]))
                         if "distribution" in obj else _resolve_dist(dist, n))
         mode = obj.get("mode", mode)
+        length_guard = obj.get("length_guard", length_guard)
+        index = obj.get("i", index)
+        if mode not in _MODES:
+            raise _Status(2, f"unknown mode {mode!r}")
     else:
         distribution = _resolve_dist(dist, n)
     cps = tuple(int(c) for c in checkpoints.split(",") if c.strip())
-    config = WalkConfig(n, steps, paths, seed, distribution, cps)
+    config = WalkConfig(n, steps, paths, seed, distribution, cps,
+                        length_guard)
     runner = {"stabilization": stabilization_run, "theorem2": theorem2_run,
               "selective": selective_run}.get(mode)
     report = (runner(config) if runner
               else artin_convergence_run(config, index))
     emit(report, fmt, sys.stdout if out == "-" else out)
+    if report.failures:
+        raise LengthGuardError(
+            f"{len(report.failures)} path(s) exceeded {length_guard} letters")
 
 
 def _rank_of(text: str) -> int:
@@ -200,10 +221,14 @@ def contract_cmd(g: str, measure: str, eps: str):
 @boundary_group.command("qwitness")
 @click.argument("a")
 @click.argument("b")
-@click.option("--k", default=1, show_default=True)
+@click.option("--k", default=2, show_default=True,
+              help="contraction radius 1/k; k >= 2")
 @click.option("--measure", required=True, type=click.Path(exists=True))
 @_guarded
 def qwitness_cmd(a: str, b: str, k: int, measure: str):
+    if k < 2:
+        raise _Status(2, f"qwitness needs --k >= 2 (eps = 1/k in (0, 1)), "
+                         f"got {k}")
     lam = _load_measure(measure)
     rank = lam.atoms[0][0].rank
     w = blab.q_collection_witness(parse_free(a, rank), parse_free(b, rank),

@@ -34,18 +34,6 @@ class LengthGuardError(RuntimeError):
     """Combing exceeded the configured total-letter budget."""
 
 
-def _conj_gen_images(letter: int, m: int) -> list[list[int]]:
-    i = abs(letter)
-    g = [[k] for k in range(1, m + 1)]
-    if letter > 0:
-        g[i - 1] = [i + 1]
-        g[i] = [i + 1, i, -(i + 1)]
-    else:
-        g[i - 1] = [-i, i + 1, i]
-        g[i] = [i]
-    return g
-
-
 def _conj_images(sigma_letters: Sequence[int], m: int) -> list[list[int]]:
     ims: list[list[int]] = [[k] for k in range(1, m + 1)]
     for l in sigma_letters:

@@ -210,7 +210,9 @@ def gromov(x: Point, y: Point):
     # distinct eventually periodic words differ within a Fine-Wilf window
     depth = len(x.head) + len(y.head) + 2 * (len(x.period) + len(y.period)) + 2
     g = _lcp_len(_unroll(x, depth), _unroll(y, depth))
-    assert g < depth, "distinct canonical points agreeing beyond the bound"
+    if g >= depth:
+        raise RuntimeError(
+            "distinct canonical points agreeing beyond the Fine-Wilf bound")
     return g
 
 

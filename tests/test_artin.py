@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidwalk.artin import (DEFAULT_IMAGE_BUDGET, FreeAutomorphism,
-                             ImageBudgetError, UNDEFINED, _images, a_word,
-                             apply_braid, artin_auto, braid_auto, braid_equal,
+                             ImageBudgetError, UNDEFINED, _FP_SEEDS,
+                             _fingerprint, _images, a_word, apply_braid,
+                             artin_auto, braid_auto, braid_equal,
                              occurrence_ratio)
-from braidwalk.braids import BraidWord, PureWord, coset_decompose
+from braidwalk.braids import BraidWord, PureWord, coset_decompose, to_braid
 from braidwalk.words import ReducedWord, concat, invert, reduce
 
 N = 4
@@ -72,7 +73,7 @@ def test_braid_relations_hold():
 @given(braid_words(6))
 @settings(max_examples=40)
 def test_braid_equal_fallback_agrees_with_direct(u):
-    # force the normal-form fallback with a tiny budget
+    # a tiny budget makes the fingerprint's verdict the answer
     v = BraidWord(N, u.letters + (3, 1, -1, -3))
     assert braid_equal(u, v, image_budget=1) == braid_equal(u, v,
                                                             image_budget=None)
@@ -133,3 +134,115 @@ def test_pure_words_fix_nothing_but_conjugate(u):
         im = apply_braid(gamma, ReducedWord((i,), N)).letters
         assert len(im) % 2 == 1
         assert im[len(im) // 2] == i
+
+
+# ---------------------------------------------------------------------------
+# the image engine and the fingerprint against independent references
+# ---------------------------------------------------------------------------
+
+def naive_images(letters, n):
+    """Substitute the generator images into the current ones and reduce."""
+    ims = [[k] for k in range(1, n + 1)]
+    for l in letters:
+        i = abs(l)
+        gen = ({i: [i, i + 1, -i], i + 1: [i]} if l > 0
+               else {i: [i + 1], i + 1: [-(i + 1), i, i + 1]})
+        new = []
+        for k in range(1, n + 1):
+            buf = []
+            for t in gen.get(k, [k]):
+                for x in (ims[t - 1] if t > 0
+                          else [-y for y in reversed(ims[-t - 1])]):
+                    if buf and buf[-1] == -x:
+                        buf.pop()
+                    else:
+                        buf.append(x)
+            new.append(buf)
+        ims = new
+    return tuple(tuple(w) for w in ims)
+
+
+def sigma_words(n, max_size):
+    letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i]))
+    return st.lists(letter, max_size=max_size)
+
+
+@st.composite
+def ranked_sigma_words(draw, max_size=30):
+    n = draw(st.integers(3, 5))
+    return n, draw(sigma_words(n, max_size))
+
+
+@given(ranked_sigma_words())
+@settings(max_examples=80, deadline=None)
+def test_images_match_naive_substitution(case):
+    n, letters = case
+    assert _images(letters, n) == naive_images(letters, n)
+
+
+def _relator(n, i, j):
+    """A braid relator r (r = 1 in B_n) built from the generators i, j."""
+    if abs(i - j) >= 2:
+        return [i, j, -i, -j]
+    i = min(i, n - 2)
+    return [i, i + 1, i, -(i + 1), -i, -(i + 1)]
+
+
+@st.composite
+def word_pairs(draw):
+    n, u = draw(ranked_sigma_words(12))
+    if draw(st.booleans()):
+        v = draw(sigma_words(n, 12))
+    else:  # insert a braid relator (or a free cancellation) into u
+        i, j = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+        rel = [i, -i] if i == j else _relator(n, i, j)
+        cut = draw(st.integers(0, len(u)))
+        v = u[:cut] + rel + u[cut:]
+    return n, u, v
+
+
+@given(word_pairs())
+@settings(max_examples=150, deadline=None)
+def test_fingerprint_agrees_with_exact_images(case):
+    n, u, v = case
+    same = _images(u, n) == _images(v, n)
+    for seed in _FP_SEEDS:
+        assert (_fingerprint(u, n, seed) == _fingerprint(v, n, seed)) == same
+
+
+PURE_GENS = [(j, i) for j in range(2, N + 1) for i in range(1, j)]
+
+
+@given(st.lists(st.tuples(st.sampled_from(PURE_GENS),
+                          st.sampled_from([1, -1])), min_size=1, max_size=8))
+@settings(max_examples=40, deadline=None)
+def test_every_single_letter_change_is_rejected(letters):
+    # pure generators of one sign share the permutation (identity) and the
+    # exponent sum, so only the fingerprint or the images can tell them apart
+    word = to_braid(PureWord(N, tuple(letters)))
+    for pos, (gen, sg) in enumerate(letters):
+        for other in PURE_GENS:
+            if other == gen:
+                continue
+            changed = list(letters)
+            changed[pos] = (other, sg)
+            bad = to_braid(PureWord(N, tuple(changed)))
+            for seed in _FP_SEEDS:
+                assert (_fingerprint(bad.letters, N, seed)
+                        != _fingerprint(word.letters, N, seed))
+            assert not braid_equal(bad, word)
+
+
+def test_braid_equal_never_calls_combing(monkeypatch):
+    import braidwalk.combing
+
+    def boom(*args, **kwargs):
+        raise AssertionError("braid_equal must not use combing")
+
+    monkeypatch.setattr(braidwalk.combing, "mi_braid", boom)
+    u = BraidWord(N, (1, 2, 3) * 8)
+    equal = BraidWord(N, (1, 2, 1, -2, -1, -2) + u.letters + (3, -3))
+    assert braid_equal(u, equal, image_budget=1)
+    # a nontrivial pure tail: same permutation, same exponent sum
+    bad = BraidWord(N, u.letters + (1, 1, -2, -2))
+    assert not braid_equal(u, bad, image_budget=1)

@@ -154,6 +154,25 @@ def test_min_convolution_hit_on_braids():
     assert min_convolution_hit(mu, BraidWord(2, (1,) * 11), 10) is None
 
 
+def test_min_convolution_hit_on_braids_matches_brute_force():
+    # the first hit and its mass, against a count over all words of length s
+    from itertools import product
+
+    from braidwalk.artin import braid_equal
+    atoms = [BraidWord(3, (l,)) for l in (1, -1, 2, -2)]
+    mu = [(a, Fraction(1, 4)) for a in atoms]
+    for target in ((1, 2), (1, 2, 1), (2, -1, 2), (1, -2)):
+        g = BraidWord(3, target)
+        hit = min_convolution_hit(mu, g, 3)
+        for s in range(1, 4):
+            mass = sum(Fraction(1, 4 ** s) for w in product(atoms, repeat=s)
+                       if braid_equal(BraidWord(3, sum((a.letters for a in w),
+                                                       ())), g))
+            if mass:
+                break
+        assert (hit.s, hit.mass) == (s, mass)
+
+
 def test_min_convolution_hit_on_free_words():
     x = reduce([1], RANK)
     mu = [(x, Fraction(1, 2)), (invert(x), Fraction(1, 2))]

@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import subprocess
+import sys
 
 from click.testing import CliRunner
 
@@ -70,6 +72,67 @@ def test_walk_config_file(tmp_path):
     obj = json.loads(res.output)
     assert obj["config"]["steps"] == 5
     assert obj["thm2_ok"] is True
+
+
+def test_walk_config_length_guard_exits_3(tmp_path):
+    cfg = {"n": 4, "steps": 30, "paths": 3, "seed": 11, "mode": "theorem2",
+           "length_guard": 5}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    res = run("walk", "--config", str(p), "--format", "json")
+    assert res.exit_code == 3
+
+
+def test_walk_config_rejects_unknown_keys(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"n": 4, "steps": 5, "lenght_guard": 5}))
+    res = run("walk", "--config", str(p))
+    assert res.exit_code == 2
+
+
+def test_walk_config_reads_artin_index(tmp_path):
+    cfg = {"n": 4, "steps": 4, "paths": 1, "seed": 2, "mode": "artin",
+           "i": 3}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    flags = ["walk", "--n", "4", "--steps", "4", "--paths", "1", "--seed",
+             "2", "--mode", "artin"]
+    res = run("walk", "--config", str(p))
+    assert res.exit_code == 0
+    assert res.output == run(*flags, "--i", "3").output
+    assert res.output != run(*flags, "--i", "4").output
+
+
+def run_process(*args):
+    """Run the CLI in a fresh interpreter, so stderr is the real one."""
+    return subprocess.run([sys.executable, "-m", "braidwalk.cli", *args],
+                          capture_output=True, text=True)
+
+
+def assert_input_error(proc):
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+def test_mi_out_of_range_sigma_is_exit_2():
+    assert_input_error(run_process("mi", "b7", "--n", "4"))
+
+
+def test_walk_with_one_strand_is_exit_2():
+    assert_input_error(run_process("walk", "--n", "1"))
+
+
+def test_qwitness_rejects_k_below_2(tmp_path):
+    assert_input_error(run_process(
+        "boundary", "qwitness", "x1 x2 x1^-1", "x2", "--k", "1",
+        "--measure", _measure_file(tmp_path)))
+
+
+def test_qwitness_default_k(tmp_path):
+    res = run("boundary", "qwitness", "x1 x2 x1^-1", "x2",
+              "--measure", _measure_file(tmp_path))
+    assert res.exit_code == 0
+    assert json.loads(res.output)["inputs"]["k"] == 2
 
 
 def test_boundary_cover():
