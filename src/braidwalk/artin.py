@@ -11,10 +11,10 @@ This is the unique member of the standard convention set that reproduces the
 reference gamma(x_4) values.
 
 The exact images are built by `_images`, which keeps every image next to its
-inverse as signed 16-bit arrays and joins them at the junction with C-level
-slice operations.  `braid_equal` puts cheap stages in front of it: the
-induced permutation, the exponent sum, and `_fingerprint`, the same action
-evaluated in two seeded representations F_n -> SL_2(F_p), p = 2^61 - 1.
+inverse as signed 16-bit arrays and joins them with `words._join`.
+`braid_equal` puts cheap stages in front of it: the induced permutation, the
+exponent sum, and `_fingerprint`, the same action evaluated in two seeded
+representations F_n -> SL_2(F_p), p = 2^61 - 1.
 Nothing here uses the combing code, so the oracle stays independent of it.
 """
 
@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .braids import BraidWord, PureWord, is_pure, perm, to_braid
-from .words import ReducedWord, _inv, _red_append
+from .words import ReducedWord, _join, _pairs, _subst
 
 UNDEFINED = None
 
@@ -37,47 +37,6 @@ DEFAULT_IMAGE_BUDGET = 200_000
 
 class ImageBudgetError(RuntimeError):
     """An Artin image computation exceeded its total-letter budget."""
-
-
-def _subst(images: list[list[int]], word: Sequence[int]) -> list[int]:
-    buf: list[int] = []
-    for l in word:
-        _red_append(buf, images[l - 1] if l > 0 else _inv(images[-l - 1]))
-    return buf
-
-
-_PROBE = 8  # cancellations up to this length are found letter by letter
-
-
-def _join(x: array, xi: array, y: array, yi: array) -> tuple[array, array]:
-    """(x y, (x y)^-1), reduced, for reduced x, y with inverses xi, yi.
-
-    The letters cancelled at the junction are the common prefix of x^-1 and
-    y; its length k is probed letter by letter up to _PROBE, then found by
-    galloping and bisection on slice comparisons.
-    """
-    if not xi or not y or xi[0] != y[0]:
-        return x + y, yi + xi
-    m = min(len(xi), len(y))
-    k = 1
-    while k < m and k < _PROBE and xi[k] == y[k]:
-        k += 1
-    if k == _PROBE and k < m:
-        lo, hi = k, m + 1  # xi[:lo] == y[:lo]; the prefix of length hi fails
-        while lo < m:
-            t = min(2 * lo, m)
-            if xi[lo:t] != y[lo:t]:
-                hi = t
-                break
-            lo = t
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if xi[lo:mid] == y[lo:mid]:
-                lo = mid
-            else:
-                hi = mid
-        k = lo
-    return x[:len(x) - k] + y[k:], yi[:len(yi) - k] + xi[k:]
 
 
 @lru_cache(maxsize=None)
@@ -184,8 +143,7 @@ class FreeAutomorphism:
     def apply(self, t: ReducedWord) -> ReducedWord:
         if t.rank != self.n:
             raise ValueError("rank mismatch")
-        ims = [list(w) for w in self.images]
-        return ReducedWord(tuple(_subst(ims, t.letters)), self.n)
+        return ReducedWord(_subst(_pairs(self.images), t.letters)[0], self.n)
 
 
 def artin_auto(letter: int, n: int) -> FreeAutomorphism:
@@ -203,8 +161,8 @@ def _sigma_letters(w: "BraidWord | PureWord") -> tuple[int, ...]:
 def apply_braid(w: "BraidWord | PureWord", t: ReducedWord) -> ReducedWord:
     if t.rank != w.n:
         raise ValueError("rank mismatch")
-    ims = [list(x) for x in _images(_sigma_letters(w), w.n)]
-    return ReducedWord(tuple(_subst(ims, t.letters)), w.n)
+    pairs = _pairs(_images(_sigma_letters(w), w.n))
+    return ReducedWord(_subst(pairs, t.letters)[0], w.n)
 
 
 def braid_auto(w: "BraidWord | PureWord") -> FreeAutomorphism:

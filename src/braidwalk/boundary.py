@@ -10,9 +10,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .words import (BoundaryPoint, ReducedWord, concat, invert,
-                    left_translate, pow_infinity, power, prefix, print_free,
-                    rho, wing_core)
+from .words import (BoundaryPoint, ReducedWord, _pairs, _subst, concat,
+                    invert, left_translate, pow_infinity, power, prefix,
+                    print_free, rho, wing_core)
 
 
 def _reduced_words(rank: int, length: int) -> Iterator[tuple[int, ...]]:
@@ -169,7 +169,7 @@ def min_convolution_hit(mu: Sequence[tuple[object, Fraction]], g: object,
     Elements are braid words (equality by the Artin oracle) or reduced free
     words (equality by reduction); mu atoms must all be one kind.
     """
-    from .artin import _images, _subst
+    from .artin import _images
     from .braids import BraidWord
 
     # Products are tracked by key only.  A braid's key is its tuple of Artin
@@ -182,11 +182,6 @@ def min_convolution_hit(mu: Sequence[tuple[object, Fraction]], g: object,
             return el.letters
         raise TypeError(f"unsupported element type {type(el).__name__}")
 
-    def compose(kx, ky, el):
-        if isinstance(el, BraidWord):
-            return tuple(tuple(_subst(kx, w)) for w in ky)
-        return concat(ReducedWord(kx, el.rank), el).letters
-
     target = key(g)
     atoms = [(el, key(el), wt) for el, wt in mu]
     # s = 0 is the point mass at the identity; the search starts at s = 1
@@ -194,8 +189,16 @@ def min_convolution_hit(mu: Sequence[tuple[object, Fraction]], g: object,
     for s in range(1, s_max + 1):
         nxt: dict[object, Fraction] = {}
         for kr, mass in current.items():
+            pairs = None  # kr's images with their inverses, built once
             for el, ke, wt in atoms:
-                kk = ke if kr is None else compose(kr, ke, el)
+                if kr is None:
+                    kk = ke
+                elif isinstance(el, BraidWord):
+                    if pairs is None:
+                        pairs = _pairs(kr)
+                    kk = tuple(_subst(pairs, w)[0] for w in ke)
+                else:
+                    kk = concat(ReducedWord(kr, el.rank), el).letters
                 nxt[kk] = nxt.get(kk, 0) + mass * wt
         current = nxt
         hit = current.get(target)

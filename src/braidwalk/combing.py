@@ -9,23 +9,33 @@ on the y-alphabet (frozen calibrated form; derived by certified search):
     sigma_i   : y_i -> y_{i+1},            y_{i+1} -> y_{i+1} y_i y_{i+1}^-1
     sigma_i^-1: y_i -> y_i^-1 y_{i+1} y_i, y_{i+1} -> y_i
 
-composed left-to-right, like the x-alphabet representation.  Note this is a
-different variant than the x-action in artin.py: the two are anchored by
-independent reference tables and are not interchangeable.
+composed left-to-right, like the x-alphabet representation.  This variant
+differs from the x-action in artin.py, and each is anchored by its own
+reference table, but the two share one engine: relabelling
+y_k <-> x_{m+1-k} and sigma_i <-> sigma_{m-i} (signs kept) turns this
+action into the x-action, so `_pure_conj_images` is `artin._images` under
+that relabelling.
+
+Combing runs on the free-group kernel of `words`: every image and every
+free part is a pair (w, w^-1) of `array('h')` words, the conjugation action
+is applied with `words._subst`, and top-row letters are appended to the
+free part with `words._join`.  Words become tuples only when a form is
+built.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .artin import _subst
+from .artin import _generator_pairs, _images
 from .braids import (BraidWord, Permutation, PureLetter, PureWord,
                      _expand_letters, _schreier_step, conjugate_pure,
                      coset_decompose, identity_perm, parse_braid_tokens,
                      perm, positive_lift, print_braid, sigma_to_pure)
-from .words import ParseError, ReducedWord, _inv, _red_append
+from .words import ParseError, ReducedWord, _join, _subst
 
 DEFAULT_LENGTH_GUARD = 10 ** 6
 
@@ -34,22 +44,11 @@ class LengthGuardError(RuntimeError):
     """Combing exceeded the configured total-letter budget."""
 
 
-def _conj_images(sigma_letters: Sequence[int], m: int) -> list[list[int]]:
-    ims: list[list[int]] = [[k] for k in range(1, m + 1)]
-    for l in sigma_letters:
-        i = abs(l)
-        a, b = ims[i - 1], ims[i]
-        if l > 0:  # y_i -> y_{i+1}, y_{i+1} -> y_{i+1} y_i y_{i+1}^-1
-            ims[i - 1] = b
-            ims[i] = _red_append(_red_append(list(b), a), _inv(b))
-        else:  # y_i -> y_i^-1 y_{i+1} y_i, y_{i+1} -> y_i
-            ims[i - 1] = _red_append(_red_append(_inv(a), b), a)
-            ims[i] = a
-    return ims
+Pair = tuple[array, array]  # a reduced word and its inverse
 
 
-def _apply_pure_conj(images: list[list[int]], j: int, i: int, sg: int,
-                     m: int) -> list[list[int]]:
+def _apply_pure_conj(images: list[Pair], j: int, i: int, sg: int,
+                     m: int) -> list[Pair]:
     """Update rho images by one s_ji^sg, sharing untouched entries."""
     g = _pure_conj_images(j, i, sg, m)
     return [images[k] if g[k] == (k + 1,) else _subst(images, g[k])
@@ -58,8 +57,12 @@ def _apply_pure_conj(images: list[list[int]], j: int, i: int, sg: int,
 
 @lru_cache(maxsize=None)
 def _pure_conj_images(j: int, i: int, sg: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """Images of y_1..y_m under conjugation by s_ji^sg (j <= m)."""
-    return tuple(tuple(w) for w in _conj_images(_expand_letters(j, i, sg), m))
+    """Images of y_1..y_m under conjugation by s_ji^sg (j <= m): the
+    x-action of `_images` on the relabelled word, relabelled back."""
+    mirrored = [m - l if l > 0 else -m - l for l in _expand_letters(j, i, sg)]
+    xs = _images(mirrored, m)
+    return tuple(tuple(m + 1 - l if l > 0 else -m - 1 - l for l in xs[m - k])
+                 for k in range(1, m + 1))
 
 
 def rho_action(alpha: PureWord, f: ReducedWord) -> ReducedWord:
@@ -67,10 +70,10 @@ def rho_action(alpha: PureWord, f: ReducedWord) -> ReducedWord:
     m = alpha.n
     if f.rank != m:
         raise ValueError("rank mismatch")
-    ims = [[k] for k in range(1, m + 1)]
+    ims = list(_generator_pairs(m))
     for (j, i), sg in alpha.letters:
         ims = _apply_pure_conj(ims, j, i, sg, m)
-    return ReducedWord(tuple(_subst(ims, f.letters)), m)
+    return ReducedWord(tuple(_subst(ims, f.letters)[0]), m)
 
 
 @dataclass(frozen=True)
@@ -82,13 +85,13 @@ class SplitState:
 def split(gamma: PureWord) -> SplitState:
     """gamma = x . alpha; alpha is gamma with the top-row letters deleted."""
     m = gamma.n - 1
-    x: list[int] = []
+    x = xi = array("h")
     alpha: list[PureLetter] = []
-    images = [[k] for k in range(1, m + 1)]
+    images = list(_generator_pairs(m))
     for (j, i), sg in gamma.letters:
         if j == gamma.n:
-            im = images[i - 1] if sg > 0 else _inv(images[i - 1])
-            _red_append(x, im)
+            y, yi = images[i - 1]
+            x, xi = _join(x, xi, y, yi) if sg > 0 else _join(x, xi, yi, y)
         else:
             alpha.append(((j, i), sg))
             images = _apply_pure_conj(images, j, i, sg, m)
@@ -167,22 +170,25 @@ def central_element(n: int) -> PureWord:
 class MIStepper:
     """Incremental combing along right multiplication by generator letters.
 
-    One level per rank r = n..2: the free part x_r (list of signed y-letters
-    over rank r-1) and the images of y_1..y_{r-1} under the conjugation
-    action of everything that has passed down to lower levels so far.
+    One level per rank r = n..2: the free part x_r (signed y-letters over
+    rank r-1) and the images of y_1..y_{r-1} under the conjugation action
+    of everything that has passed down to lower levels so far.  Both are
+    kept as (word, inverse) pairs of arrays and are replaced, never
+    mutated, so untouched images are shared between levels and steps.
     """
 
     def __init__(self, n: int, length_guard: int = DEFAULT_LENGTH_GUARD):
         self.n = n
         self.length_guard = length_guard
         self.coset_perm: Permutation = identity_perm(n)
-        self.xs: list[list[int]] = [[] for _ in range(n - 1)]  # index 0: rank n
-        self.images: list[list[list[int]]] = [
-            [[k] for k in range(1, r)] for r in range(n, 1, -1)]
+        empty = array("h")
+        self.xs: list[Pair] = [(empty, empty)] * (n - 1)  # index 0: rank n
+        self.images: list[list[Pair]] = [
+            list(_generator_pairs(r - 1)) for r in range(n, 1, -1)]
 
     def _size(self) -> int:
         # the guard bounds the normal-form letters, like mi_pure's
-        return sum(len(x) for x in self.xs)
+        return sum(len(x) for x, _ in self.xs)
 
     def _push_pure(self, letters: Iterable[PureLetter]) -> None:
         for (j, i), sg in letters:
@@ -191,19 +197,32 @@ class MIStepper:
                 m = self.n - 1 - r_lvl
                 self.images[r_lvl] = _apply_pure_conj(
                     self.images[r_lvl], j, i, sg, m)
-            im = self.images[lvl][i - 1]
-            _red_append(self.xs[lvl], im if sg > 0 else _inv(im))
+            x, xi = self.xs[lvl]
+            y, yi = self.images[lvl][i - 1]
+            self.xs[lvl] = (_join(x, xi, y, yi) if sg > 0
+                            else _join(x, xi, yi, y))
         if self._size() > self.length_guard:
             raise LengthGuardError(
                 f"combing exceeded {self.length_guard} letters")
 
     def step(self, letter: "int | PureLetter") -> None:
-        """Multiply on the right by sigma_i^+-1 (int) or s_ji^+-1 (PureLetter)."""
+        """Multiply on the right by sigma_i^+-1 (int) or s_ji^+-1 (PureLetter).
+
+        Raises ValueError for a letter outside B_n.
+        """
         if isinstance(letter, int):
+            if not 1 <= abs(letter) < self.n:
+                raise ValueError(
+                    f"sigma index {letter} out of range for n={self.n}")
             self.coset_perm, emitted = _schreier_step(
                 self.coset_perm, letter, self.n)
             self._push_pure(emitted)
         else:
+            (j, i), sg = letter
+            if not 1 <= i < j <= self.n:
+                raise ValueError(f"s{j}.{i} out of range for n={self.n}")
+            if sg not in (1, -1):
+                raise ValueError("sign must be +-1")
             if self.coset_perm.is_identity():
                 self._push_pure([letter])
             else:
@@ -212,7 +231,7 @@ class MIStepper:
 
     def form(self) -> MIForm:
         parts = tuple(ReducedWord(tuple(x), self.n - 1 - lvl)
-                      for lvl, x in enumerate(self.xs))
+                      for lvl, (x, _) in enumerate(self.xs))
         return MIForm(self.n, parts, positive_lift(self.coset_perm))
 
 

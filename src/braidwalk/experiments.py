@@ -19,7 +19,7 @@ from .artin import a_word, occurrence_ratio
 from .braids import PureLetter, PureWord, parse_braid_tokens
 from .combing import LengthGuardError, MIForm, MIStepper, central_element
 from .walks import Path, WalkConfig, distribution_to_json, sample_paths
-from .words import ReducedWord, concat, gromov, invert, lcp
+from .words import ReducedWord, _common_prefix, concat, gromov, invert, lcp
 
 SCHEMA_FIXED = ["path_id", "step", "mi_len", "lcp_final"]
 SCHEMA_TAIL = ["x_gromov", "sel_gromov", "a_lcp"]
@@ -152,20 +152,12 @@ def _form_lcp(a: MIForm, b: MIForm) -> int:
     """
     k = 0
     for pa, pb in zip(a.parts, b.parts):
-        common = 0
-        for x, y in zip(pa.letters, pb.letters):
-            if x != y:
-                break
-            common += 1
+        common = _common_prefix(pa.letters, pb.letters)
         k += common
         if common < max(len(pa), len(pb)):
             return k  # letter mismatch or letter-vs-separator
         k += 1  # identical parts: the separator token matches too
-    for x, y in zip(a.coset.letters, b.coset.letters):
-        if x != y:
-            break
-        k += 1
-    return k
+    return k + _common_prefix(a.coset.letters, b.coset.letters)
 
 
 def _aggregate(report: StabilizationReport, checkpoints: list[int]) -> None:

@@ -7,6 +7,7 @@ the output is bit-identical regardless of execution order or parallelism.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -75,6 +76,8 @@ class WalkConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if self.paths < 1:
+            raise ValueError("paths must be >= 1")
         if any(not 1 <= c <= self.steps for c in self.checkpoints):
             raise ValueError("checkpoints must lie in [1, steps]")
         if list(self.checkpoints) != sorted(self.checkpoints):
@@ -87,29 +90,35 @@ class Path:
     letters: tuple[str, ...]  # sampled tokens
 
 
-def _sample_one(config: WalkConfig, index: int) -> Path:
+def _thresholds(d: GeneratorDistribution) -> tuple[list[int], list[str]]:
+    """ceil(c 2^64) for each cumulative weight c, and the atoms' tokens.
+
+    A draw d picks the first atom with d / 2^64 < c, and for an integer d
+    that is d < ceil(c 2^64): exact, with no Fraction per draw.
+    """
+    cuts, toks = [], []
+    acc = Fraction(0)
+    for tok, w in d.atoms:
+        acc += w
+        cuts.append(-((-acc.numerator << 64) // acc.denominator))
+        toks.append(tok)
+    return cuts, toks
+
+
+def _sample_one(config: WalkConfig, index: int,
+                table: tuple[list[int], list[str]]) -> Path:
     rng = np.random.Generator(np.random.Philox(key=[config.seed, index]))
     draws = rng.integers(0, 2 ** 64, size=config.steps,
                          dtype=np.uint64, endpoint=False)
-    cum: list[tuple[Fraction, str]] = []
-    acc = Fraction(0)
-    for tok, w in config.distribution.atoms:
-        acc += w
-        cum.append((acc, tok))
-    letters = []
-    for d in draws:
-        u = Fraction(int(d), 2 ** 64)  # exact comparison against thresholds
-        for threshold, tok in cum:
-            if u < threshold:
-                letters.append(tok)
-                break
-        else:
-            letters.append(cum[-1][1])
-    return Path(index, tuple(letters))
+    cuts, toks = table
+    last = len(toks) - 1
+    return Path(index, tuple(toks[min(bisect_right(cuts, d), last)]
+                             for d in draws.tolist()))
 
 
 def sample_paths(config: WalkConfig) -> list[Path]:
-    return [_sample_one(config, p) for p in range(config.paths)]
+    table = _thresholds(config.distribution)
+    return [_sample_one(config, p, table) for p in range(config.paths)]
 
 
 # ---------------------------------------------------------------------------

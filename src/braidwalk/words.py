@@ -5,6 +5,14 @@ letter +i is the i-th generator, -i its inverse.  Boundary points are
 eventually periodic infinite words X·A^inf kept in a canonical
 (minimal head, rotated primitive period) form so that point equality is
 plain field comparison.
+
+The free-group kernel is one junction join.  A word in a hot loop is kept
+as a pair (w, w^-1); joining two reduced pairs cancels the common prefix of
+the left inverse and the right word (`_common_prefix`, found with C-level
+slice comparisons) and concatenates the rest (`_join`).  `_subst` runs the
+join over a substitution x_k -> (image, inverse), and is the one engine
+behind the x-action of `artin` and the y-action of `combing`.  The pairs
+may be tuples or `array('h')` words; the join keeps their type.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import neg
 from typing import Iterable, Sequence, Union
 
 INFINITE = math.inf
@@ -36,8 +45,79 @@ def _inv(letters: Sequence[int]) -> list[int]:
     return [-l for l in reversed(letters)]
 
 
-def _reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
-    return tuple(_red_append([], letters))
+Seq = Sequence[int]  # a tuple or an array('h') word
+
+_PROBE = 8  # prefixes up to this length are compared letter by letter
+
+
+def _common_prefix(a: Seq, b: Seq) -> int:
+    """Length of the longest common prefix of a and b.
+
+    Probed letter by letter up to _PROBE, then found by galloping and
+    bisection on slice comparisons, so a long prefix costs O(log) Python
+    steps and C-level compares.
+    """
+    m = min(len(a), len(b))
+    k = 0
+    while k < m and k < _PROBE and a[k] == b[k]:
+        k += 1
+    if k == _PROBE and k < m:
+        lo, hi = k, m + 1  # a[:lo] == b[:lo]; the prefix of length hi fails
+        while lo < m:
+            t = min(2 * lo, m)
+            if a[lo:t] != b[lo:t]:
+                hi = t
+                break
+            lo = t
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if a[lo:mid] == b[lo:mid]:
+                lo = mid
+            else:
+                hi = mid
+        k = lo
+    return k
+
+
+def _join(x: Seq, xi: Seq, y: Seq, yi: Seq) -> tuple[Seq, Seq]:
+    """(x y, (x y)^-1), reduced, for reduced x, y with inverses xi, yi.
+
+    The letters cancelled at the junction are the common prefix of x^-1
+    and y.
+    """
+    if not xi or not y or xi[0] != y[0]:
+        return x + y, yi + xi
+    k = _common_prefix(xi, y)
+    return x[:len(x) - k] + y[k:], yi[:len(yi) - k] + xi[k:]
+
+
+def _pairs(images: Iterable[tuple[int, ...]]
+           ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(image, inverse) pairs of reduced tuple words, for `_subst`."""
+    return [(w, tuple(map(neg, reversed(w)))) for w in images]
+
+
+def _subst(pairs: Sequence[tuple[Seq, Seq]], word: Seq) -> tuple[Seq, Seq]:
+    """(w, w^-1) for the image w of a word under x_k -> pairs[k - 1].
+
+    Each pair is a reduced image with its inverse; letter -k takes pair k
+    swapped.  The result has the pairs' type.  The accumulator takes the
+    first nonempty image by reference, so images must never be mutated.
+    """
+    w = wi = pairs[0][0][:0] if pairs else ()
+    for l in word:
+        if l > 0:
+            y, yi = pairs[l - 1]
+        else:
+            yi, y = pairs[-l - 1]
+        if not w:
+            w, wi = y, yi
+        elif not y or wi[0] != y[0]:
+            w, wi = w + y, yi + wi
+        else:
+            k = _common_prefix(wi, y)
+            w, wi = w[:len(w) - k] + y[k:], yi[:len(yi) - k] + wi[k:]
+    return w, wi
 
 
 @dataclass(frozen=True)
@@ -64,7 +144,7 @@ class ReducedWord:
 
 def reduce(letters: Iterable[int], rank: int) -> ReducedWord:
     """The unique reduced representative of a raw letter sequence."""
-    return ReducedWord(_reduce_letters(letters), rank)
+    return ReducedWord(tuple(_red_append([], letters)), rank)
 
 
 def _check_rank(u: ReducedWord, v: "ReducedWord | BoundaryPoint") -> None:
@@ -75,16 +155,16 @@ def _check_rank(u: ReducedWord, v: "ReducedWord | BoundaryPoint") -> None:
 def concat(u: ReducedWord, v: ReducedWord) -> ReducedWord:
     _check_rank(u, v)
     # cancellation happens only at the junction of two reduced words
-    a, b = list(u.letters), list(v.letters)
-    i = 0
-    while a and i < len(b) and a[-1] == -b[i]:
-        a.pop()
-        i += 1
-    return ReducedWord(tuple(a) + tuple(b[i:]), u.rank)
+    a, b = u.letters, v.letters
+    m = min(len(a), len(b))
+    k = 0
+    while k < m and a[-1 - k] == -b[k]:
+        k += 1
+    return ReducedWord(a[:len(a) - k] + b[k:], u.rank)
 
 
 def invert(u: ReducedWord) -> ReducedWord:
-    return ReducedWord(tuple(-l for l in reversed(u.letters)), u.rank)
+    return ReducedWord(tuple(map(neg, reversed(u.letters))), u.rank)
 
 
 def power(u: ReducedWord, q: int) -> ReducedWord:
@@ -181,15 +261,6 @@ def prefix(w: "ReducedWord | BoundaryPoint", k: int) -> ReducedWord:
     return ReducedWord(_unroll(w, k), w.rank)
 
 
-def _lcp_len(a: Sequence[int], b: Sequence[int]) -> int:
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
-
-
 Point = Union[ReducedWord, BoundaryPoint]
 
 
@@ -201,15 +272,15 @@ def gromov(x: Point, y: Point):
     if fx and fy:
         if x.letters == y.letters:
             return len(x)
-        return _lcp_len(x.letters, y.letters)
+        return _common_prefix(x.letters, y.letters)
     if fx or fy:
         w, p = (x, y) if fx else (y, x)
-        return _lcp_len(w.letters, _unroll(p, len(w)))
+        return _common_prefix(w.letters, _unroll(p, len(w)))
     if x == y:
         return INFINITE
     # distinct eventually periodic words differ within a Fine-Wilf window
     depth = len(x.head) + len(y.head) + 2 * (len(x.period) + len(y.period)) + 2
-    g = _lcp_len(_unroll(x, depth), _unroll(y, depth))
+    g = _common_prefix(_unroll(x, depth), _unroll(y, depth))
     if g >= depth:
         raise RuntimeError(
             "distinct canonical points agreeing beyond the Fine-Wilf bound")

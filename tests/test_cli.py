@@ -118,6 +118,20 @@ def test_mi_out_of_range_sigma_is_exit_2():
     assert_input_error(run_process("mi", "b7", "--n", "4"))
 
 
+def test_mi_out_of_range_pure_letters_are_exit_2():
+    # j > n once read as a negative level; s5.4 once raised IndexError
+    for word in ("s5.1", "s5.4"):
+        proc = run_process("mi", word, "--n", "4")
+        assert_input_error(proc)
+        assert proc.stdout == ""
+
+
+def test_walk_with_no_paths_is_exit_2():
+    proc = run_process("walk", "--n", "4", "--paths", "0")
+    assert_input_error(proc)
+    assert proc.stdout == ""
+
+
 def test_walk_with_one_strand_is_exit_2():
     assert_input_error(run_process("walk", "--n", "1"))
 

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidwalk.artin import braid_equal
-from braidwalk.braids import (BraidWord, PureWord, is_pure, to_braid)
+from braidwalk.braids import (BraidWord, PureGenerator, PureWord, expand,
+                              is_pure, to_braid)
 from braidwalk.combing import (LengthGuardError, MIForm, MIStepper,
+                               _pure_conj_images,
                                central_element, flat_tokens, flatten,
                                identity_form, mi_braid, mi_pure, mi_step,
                                parse_mi, print_mi, rho_action, split)
@@ -74,6 +76,40 @@ def test_rho_action_is_conjugation(alpha, f_letters):
     assert braid_equal(lhs, y_braid(out))
 
 
+def naive_conj_images(sigma_letters, m):
+    """The frozen y-action, one letter at a time, on plain lists."""
+    def red(w):
+        buf = []
+        for l in w:
+            if buf and buf[-1] == -l:
+                buf.pop()
+            else:
+                buf.append(l)
+        return buf
+
+    def inv(w):
+        return [-l for l in reversed(w)]
+
+    ims = [[k] for k in range(1, m + 1)]
+    for l in sigma_letters:
+        a, b = ims[abs(l) - 1], ims[abs(l)]
+        if l > 0:  # y_i -> y_{i+1}, y_{i+1} -> y_{i+1} y_i y_{i+1}^-1
+            ims[l - 1], ims[l] = b, red(b + a + inv(b))
+        else:  # y_i -> y_i^-1 y_{i+1} y_i, y_{i+1} -> y_i
+            ims[-l - 1], ims[-l] = red(inv(a) + b + a), a
+    return tuple(tuple(w) for w in ims)
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_pure_conj_images_match_naive_y_action(m):
+    for j in range(2, m + 1):
+        for i in range(1, j):
+            for sg in (1, -1):
+                sigma = expand(PureGenerator(j, i), m, sg).letters
+                assert (_pure_conj_images(j, i, sg, m)
+                        == naive_conj_images(sigma, m))
+
+
 # ---------------------------------------------------------------------------
 # full normal form
 # ---------------------------------------------------------------------------
@@ -113,6 +149,36 @@ def test_incremental_pure_letters(gamma):
     for l in gamma.letters:
         stepper.step(l)
     assert stepper.form() == mi_pure(gamma)
+
+
+@st.composite
+def ranked_pure_words(draw):
+    n = draw(st.integers(3, 5))
+    return draw(pure_words(20, n=n))
+
+
+@given(ranked_pure_words())
+@settings(max_examples=60, deadline=None)
+def test_stepper_on_pure_words_matches_mi_pure(gamma):
+    stepper = MIStepper(gamma.n)
+    for l in gamma.letters:
+        stepper.step(l)
+    form = stepper.form()
+    assert form == mi_pure(gamma)
+    assert braid_equal(flatten(form), to_braid(gamma))
+
+
+@pytest.mark.parametrize("letter, message", [
+    (0, "out of range"), (4, "out of range"), (-4, "out of range"),
+    (7, "out of range"), (((5, 1), 1), "s5.1 out of range"),
+    (((5, 4), 1), "s5.4 out of range"), (((4, 4), 1), "out of range"),
+    (((3, 0), -1), "out of range"), (((2, 1), 0), "sign"),
+    (((2, 1), 2), "sign")])
+def test_stepper_rejects_letters_outside_b4(letter, message):
+    stepper = MIStepper(N)
+    with pytest.raises(ValueError, match=message):
+        stepper.step(letter)
+    assert stepper.form() == identity_form(N)
 
 
 def test_identity_form():

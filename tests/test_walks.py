@@ -2,13 +2,68 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from braidwalk.walks import (GeneratorDistribution, WalkConfig,
+from braidwalk.walks import (GeneratorDistribution, WalkConfig, _thresholds,
                              distribution_from_json, distribution_to_json,
                              load_distribution, sample_paths, uniform_s,
                              uniform_sigma)
 from braidwalk.words import ParseError
+
+
+def fraction_sample(config, index):
+    """Reference sampler: each draw d picks the first atom whose cumulative
+    weight c has d / 2^64 < c, compared as exact Fractions."""
+    rng = np.random.Generator(np.random.Philox(key=[config.seed, index]))
+    draws = rng.integers(0, 2 ** 64, size=config.steps, dtype=np.uint64)
+    cum, acc = [], Fraction(0)
+    for tok, w in config.distribution.atoms:
+        acc += w
+        cum.append((acc, tok))
+    out = []
+    for d in draws:
+        u = Fraction(int(d), 2 ** 64)
+        out.append(next((tok for c, tok in cum if u < c), cum[-1][1]))
+    return tuple(out)
+
+
+@st.composite
+def distributions(draw):
+    n = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["uniform-s", "uniform-sigma", "custom"]))
+    if kind == "uniform-s":
+        return n, uniform_s(n)
+    if kind == "uniform-sigma":
+        return n, uniform_sigma(n)
+    toks = [t for t, _ in uniform_sigma(n).atoms]
+    ws = draw(st.lists(st.integers(1, 10 ** 6), min_size=1,
+                       max_size=len(toks)))
+    total = sum(ws)
+    return n, GeneratorDistribution("custom", tuple(
+        (t, Fraction(w, total)) for t, w in zip(toks, ws)))
+
+
+@given(distributions(), st.integers(1, 30), st.integers(1, 3),
+       st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_sampling_matches_fraction_reference(nd, steps, paths, seed):
+    n, dist = nd
+    cfg = WalkConfig(n, steps, paths, seed, dist)
+    assert [p.letters for p in sample_paths(cfg)] == [
+        fraction_sample(cfg, k) for k in range(paths)]
+
+
+@given(distributions())
+def test_thresholds_are_exact_at_the_boundary(nd):
+    _, dist = nd
+    cuts, toks = _thresholds(dist)
+    acc = Fraction(0)
+    for (tok, w), cut, t in zip(dist.atoms, cuts, toks):
+        acc += w
+        assert t == tok
+        assert Fraction(cut - 1, 2 ** 64) < acc <= Fraction(cut, 2 ** 64)
 
 
 def test_uniform_s_atoms():
@@ -65,6 +120,8 @@ def test_config_validation():
         WalkConfig(4, 10, 1, 0, uniform_s(4), (11,))
     with pytest.raises(ValueError):
         WalkConfig(4, 10, 1, 0, uniform_s(4), (5, 3))
+    with pytest.raises(ValueError, match="paths"):
+        WalkConfig(4, 10, 0, 0, uniform_s(4))
 
 
 def test_distribution_json_roundtrip():

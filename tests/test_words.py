@@ -1,12 +1,14 @@
 """Free-word algebra, boundary points, and the metric rho."""
 
+from array import array
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from braidwalk.words import (BoundaryPoint, INFINITE, ParseError, RankError,
-                             ReducedWord, concat, coset_normalize_left,
+                             ReducedWord, _common_prefix, _join, _subst,
+                             concat, coset_normalize_left,
                              gromov, in_ball, invert, left_translate,
                              parse_free, pow_infinity, power, prefix,
                              print_free, reduce, rho, wing_core)
@@ -44,6 +46,22 @@ def test_reduced_word_rejects_unreduced_letters():
         ReducedWord((4,), RANK)
 
 
+@pytest.mark.parametrize("bad", [0, RANK + 1, -(RANK + 1)])
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_reduced_word_rank_error_names_the_letter(bad, where):
+    w = [1, 2, 1, 2, 1]
+    w[where] = bad
+    with pytest.raises(RankError, match=f"^letter {bad} outside rank {RANK}$"):
+        ReducedWord(tuple(w), RANK)
+
+
+@pytest.mark.parametrize("w", [(2, -2, 1, 3), (1, 3, -3, 2), (1, 2, 3, -3)])
+def test_reduced_word_rejects_a_cancelling_pair_anywhere(w):
+    with pytest.raises(ValueError, match="^word is not reduced$") as exc:
+        ReducedWord(w, RANK)
+    assert not isinstance(exc.value, RankError)
+
+
 @given(letters())
 def test_reduce_is_idempotent(ls):
     w = reduce(ls, RANK)
@@ -59,6 +77,74 @@ def test_concat_is_associative(u, v, w):
 def test_inverse_cancels(u):
     assert concat(u, invert(u)).is_empty()
     assert concat(invert(u), u).is_empty()
+
+
+# ---------------------------------------------------------------------------
+# the junction-join kernel
+# ---------------------------------------------------------------------------
+
+def _zip_prefix(a, b):
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
+
+
+_EDGES = sorted({7, 8, 9} | {2 ** k + d for k in range(3, 8) for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("length", _EDGES)
+def test_common_prefix_at_probe_and_gallop_edges(length):
+    base = tuple((k % RANK) + 1 for k in range(300))
+    for k in range(length + 1):
+        other = base[:k] + (-1,) + base[k + 1:]
+        a, b = base[:length], other[:length]
+        assert _common_prefix(a, b) == _zip_prefix(a, b) == k
+        assert _common_prefix(array("h", a), array("h", b)) == k
+        assert _common_prefix(a, b[:k]) == k  # one side is a prefix
+
+
+@given(letters(0, 40), letters(0, 40))
+def test_common_prefix_matches_zip_loop(a, b):
+    a, b = tuple(a), tuple(b)
+    assert _common_prefix(a, b) == _zip_prefix(a, b)
+    assert _common_prefix(a, a + b) == len(a)
+
+
+def _naive_subst(images, word):
+    buf = []
+    for l in word:
+        im = images[l - 1] if l > 0 else [-x for x in reversed(images[-l - 1])]
+        for x in im:
+            if buf and buf[-1] == -x:
+                buf.pop()
+            else:
+                buf.append(x)
+    return tuple(buf)
+
+
+def _pair(w, kind):
+    inv = tuple(-l for l in reversed(w))
+    return (w, inv) if kind is tuple else (array("h", w), array("h", inv))
+
+
+@given(st.lists(words(0, 20), min_size=RANK, max_size=RANK), letters(0, 20),
+       st.sampled_from([tuple, array]))
+def test_subst_matches_naive_substitution(images, word, kind):
+    images = [u.letters for u in images]
+    w, wi = _subst([_pair(u, kind) for u in images], word)
+    assert isinstance(w, kind) and isinstance(wi, kind)
+    assert tuple(w) == _naive_subst(images, word)
+    assert tuple(wi) == tuple(-l for l in reversed(tuple(w)))
+
+
+@given(words(), words())
+def test_join_is_concat(u, v):
+    w, wi = _join(*_pair(u.letters, tuple), *_pair(v.letters, tuple))
+    assert w == concat(u, v).letters
+    assert wi == invert(concat(u, v)).letters
 
 
 @given(words(), st.integers(-4, 4))
