@@ -3,7 +3,7 @@ boundary machinery, and seeded random-walk stabilization experiments."""
 
 from .words import (BoundaryPoint, INFINITE, ParseError, ReducedWord,  # noqa: F401,E402
                     WingCore, concat, coset_normalize_left, gromov, in_ball,
-                    invert, lcp, left_translate, parse_free, pow_infinity,
+                    invert, left_translate, parse_free, pow_infinity,
                     power, prefix, print_free, reduce, rho, wing_core)
 from .braids import (BraidWord, Permutation, PureGenerator, PureWord,  # noqa: F401,E402
                      conj_rule, coset_decompose, expand, free_reduce_braid,
@@ -11,9 +11,9 @@ from .braids import (BraidWord, Permutation, PureGenerator, PureWord,  # noqa: F
                      print_braid, print_pure, sigma_to_pure, to_braid)
 from .artin import (FreeAutomorphism, UNDEFINED, a_word, apply_braid,  # noqa: F401,E402
                     artin_auto, braid_equal, occurrence_ratio)
-from .combing import (LengthGuardError, MIForm, MIStepper, SplitState,  # noqa: F401,E402
+from .combing import (LengthGuardError, MIForm, MIStepper,  # noqa: F401,E402
                       central_element, flatten, identity_form, mi_braid,
-                      mi_pure, mi_step, parse_mi, print_mi, rho_action, split)
+                      mi_pure, parse_mi, print_mi, rho_action)
 from .boundary import (ContractionWitness, EmpiricalMeasure,  # noqa: F401,E402
                        ball_cover_check, contracting_family, find_large_wing,
                        is_eps_contracting, min_convolution_hit,

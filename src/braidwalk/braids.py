@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import ParseError, _inv
+from .words import ParseError, _inv, _red_append
 
 PureLetter = tuple[tuple[int, int], int]  # ((j, i), sign)
 
@@ -198,13 +198,7 @@ def coset_decompose(beta: BraidWord) -> tuple[BraidWord, BraidWord]:
 
 
 def free_reduce_braid(w: BraidWord) -> BraidWord:
-    buf: list[int] = []
-    for l in w.letters:
-        if buf and buf[-1] == -l:
-            buf.pop()
-        else:
-            buf.append(l)
-    return BraidWord(w.n, tuple(buf))
+    return BraidWord(w.n, tuple(_red_append([], w.letters)))
 
 
 # ---------------------------------------------------------------------------
@@ -282,24 +276,22 @@ def conjugate_pure(word: BraidWord, s_letters: tuple[PureLetter, ...]) -> tuple[
     return tuple(free_reduce_pure(PureWord(word.n, tuple(cur))).letters)
 
 
-def _schreier_step(trans: Permutation, letter: int, n: int
+def _schreier_step(trans: Permutation, letter: int
                    ) -> tuple[Permutation, tuple[PureLetter, ...]]:
     """One Schreier rewriting step: returns (new transversal perm, emitted
     s-letters).  Ascents emit nothing; descents emit a transversal-conjugated
     s_{i+1,i}^{+-1} (sign flipped relative to the crossing because the
-    expansion convention has sigma_i^2 = expand(s_{i+1,i})^{-1})."""
+    expansion convention has sigma_i^2 = expand(s_{i+1,i})^{-1}).  Swapping
+    the values i, i+1 changes the inversion count by exactly one: it rises
+    iff i stands left of i+1."""
     i = abs(letter)
     new = Permutation(_apply_sigma(trans.images, i))
+    rises = trans.images.index(i) < trans.images.index(i + 1)
+    if (letter > 0) == rises:
+        return new, ()
     if letter > 0:
-        if new.inversions() > trans.inversions():
-            return new, ()
-        core: PureLetter = ((i + 1, i), -1)
-        return new, conjugate_pure(positive_lift(new), (core,))
-    else:
-        if new.inversions() < trans.inversions():
-            return new, ()
-        core = ((i + 1, i), 1)
-        return new, conjugate_pure(positive_lift(trans), (core,))
+        return new, conjugate_pure(positive_lift(new), (((i + 1, i), -1),))
+    return new, conjugate_pure(positive_lift(trans), (((i + 1, i), 1),))
 
 
 def sigma_to_pure(gamma: BraidWord) -> PureWord:
@@ -307,7 +299,7 @@ def sigma_to_pure(gamma: BraidWord) -> PureWord:
     trans = identity_perm(gamma.n)
     out: list[PureLetter] = []
     for l in gamma.letters:
-        trans, emitted = _schreier_step(trans, l, gamma.n)
+        trans, emitted = _schreier_step(trans, l)
         out.extend(emitted)
     if not trans.is_identity():
         raise ValueError("sigma_to_pure requires a pure braid word")

@@ -1,10 +1,14 @@
 """Combing of the pure braid group: the normal form V_{n-1}...V_1 . pi.
 
-Each level of the semidirect series P_m = F_{m-1} x| P_{m-1} splits a pure
-word into a free top part x (over y_j := s_{mj}) and a lower remainder alpha;
-recursing on alpha yields the parts V_{n-1}, ..., V_1.  The conjugation
-action of P_{m-1} on F_{m-1} is realized through the rank-(m-1) braid action
-on the y-alphabet (frozen calibrated form; derived by certified search):
+Each level of the semidirect series P_m = F_{m-1} x| P_{m-1} writes a pure
+word as a free top part x (over y_j := s_{mj}) times a lower remainder
+alpha, whose own combing yields the parts below.  `MIStepper` is the one
+combing engine: it reads the letters left to right and keeps every level
+at once, so `mi_pure` and `mi_braid` feed it a whole word.  A top-row
+letter is carried into its free part through the conjugation action of
+the lower-row letters read before it.  That action of P_{m-1} on F_{m-1}
+is realized through the rank-(m-1) braid action on the y-alphabet (frozen
+calibrated form; derived by certified search):
 
     sigma_i   : y_i -> y_{i+1},            y_{i+1} -> y_{i+1} y_i y_{i+1}^-1
     sigma_i^-1: y_i -> y_i^-1 y_{i+1} y_i, y_{i+1} -> y_i
@@ -34,7 +38,7 @@ from .artin import _generator_pairs, _images
 from .braids import (BraidWord, Permutation, PureLetter, PureWord,
                      _expand_letters, _schreier_step, conjugate_pure,
                      coset_decompose, identity_perm, parse_braid_tokens,
-                     perm, positive_lift, print_braid, sigma_to_pure)
+                     positive_lift, print_braid, sigma_to_pure)
 from .words import ParseError, ReducedWord, _join, _subst
 
 DEFAULT_LENGTH_GUARD = 10 ** 6
@@ -77,28 +81,6 @@ def rho_action(alpha: PureWord, f: ReducedWord) -> ReducedWord:
 
 
 @dataclass(frozen=True)
-class SplitState:
-    x: ReducedWord  # over the y-alphabet of rank n-1
-    alpha: PureWord  # rank n-1 remainder
-
-
-def split(gamma: PureWord) -> SplitState:
-    """gamma = x . alpha; alpha is gamma with the top-row letters deleted."""
-    m = gamma.n - 1
-    x = xi = array("h")
-    alpha: list[PureLetter] = []
-    images = list(_generator_pairs(m))
-    for (j, i), sg in gamma.letters:
-        if j == gamma.n:
-            y, yi = images[i - 1]
-            x, xi = _join(x, xi, y, yi) if sg > 0 else _join(x, xi, yi, y)
-        else:
-            alpha.append(((j, i), sg))
-            images = _apply_pure_conj(images, j, i, sg, m)
-    return SplitState(ReducedWord(tuple(x), m), PureWord(m, tuple(alpha)))
-
-
-@dataclass(frozen=True)
 class MIForm:
     """parts[0] = V_{n-1}, ..., parts[n-2] = V_1; V_m over {s_{(m+1)j}}."""
 
@@ -117,28 +99,6 @@ class MIForm:
 def identity_form(n: int) -> MIForm:
     return MIForm(n, tuple(ReducedWord((), n - 1 - k) for k in range(n - 1)),
                   BraidWord(n, ()))
-
-
-def mi_pure(gamma: PureWord,
-            length_guard: int = DEFAULT_LENGTH_GUARD) -> MIForm:
-    parts: list[ReducedWord] = []
-    cur = gamma
-    total = 0
-    while cur.n >= 2:
-        st = split(cur)
-        total += len(st.x)
-        if total > length_guard:
-            raise LengthGuardError(f"combing exceeded {length_guard} letters")
-        parts.append(st.x)
-        cur = st.alpha
-    return MIForm(gamma.n, tuple(parts), BraidWord(gamma.n, ()))
-
-
-def mi_braid(beta: BraidWord,
-             length_guard: int = DEFAULT_LENGTH_GUARD) -> MIForm:
-    gamma, pi = coset_decompose(beta)
-    form = mi_pure(sigma_to_pure(gamma), length_guard)
-    return MIForm(beta.n, form.parts, pi)
 
 
 def flatten(form: MIForm) -> BraidWord:
@@ -164,7 +124,7 @@ def central_element(n: int) -> PureWord:
 
 
 # ---------------------------------------------------------------------------
-# incremental stepping
+# the combing engine: MIStepper, and mi_pure / mi_braid on top of it
 # ---------------------------------------------------------------------------
 
 class MIStepper:
@@ -186,10 +146,6 @@ class MIStepper:
         self.images: list[list[Pair]] = [
             list(_generator_pairs(r - 1)) for r in range(n, 1, -1)]
 
-    def _size(self) -> int:
-        # the guard bounds the normal-form letters, like mi_pure's
-        return sum(len(x) for x, _ in self.xs)
-
     def _push_pure(self, letters: Iterable[PureLetter]) -> None:
         for (j, i), sg in letters:
             lvl = self.n - j
@@ -201,7 +157,8 @@ class MIStepper:
             y, yi = self.images[lvl][i - 1]
             self.xs[lvl] = (_join(x, xi, y, yi) if sg > 0
                             else _join(x, xi, yi, y))
-        if self._size() > self.length_guard:
+        # the guard bounds the letters of the normal form
+        if sum(len(x) for x, _ in self.xs) > self.length_guard:
             raise LengthGuardError(
                 f"combing exceeded {self.length_guard} letters")
 
@@ -214,8 +171,7 @@ class MIStepper:
             if not 1 <= abs(letter) < self.n:
                 raise ValueError(
                     f"sigma index {letter} out of range for n={self.n}")
-            self.coset_perm, emitted = _schreier_step(
-                self.coset_perm, letter, self.n)
+            self.coset_perm, emitted = _schreier_step(self.coset_perm, letter)
             self._push_pure(emitted)
         else:
             (j, i), sg = letter
@@ -235,9 +191,19 @@ class MIStepper:
         return MIForm(self.n, parts, positive_lift(self.coset_perm))
 
 
-def mi_step(state: MIStepper, letter: "int | PureLetter") -> MIForm:
-    state.step(letter)
-    return state.form()
+def mi_pure(gamma: PureWord,
+            length_guard: int = DEFAULT_LENGTH_GUARD) -> MIForm:
+    """One MIStepper pass over gamma; the guard bounds the final form."""
+    stepper = MIStepper(gamma.n, length_guard)
+    stepper._push_pure(gamma.letters)
+    return stepper.form()
+
+
+def mi_braid(beta: BraidWord,
+             length_guard: int = DEFAULT_LENGTH_GUARD) -> MIForm:
+    gamma, pi = coset_decompose(beta)
+    form = mi_pure(sigma_to_pure(gamma), length_guard)
+    return MIForm(beta.n, form.parts, pi)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .artin import a_word, occurrence_ratio
 from .braids import PureLetter, PureWord, parse_braid_tokens
 from .combing import LengthGuardError, MIForm, MIStepper, central_element
 from .walks import Path, WalkConfig, distribution_to_json, sample_paths
-from .words import ReducedWord, _common_prefix, concat, gromov, invert, lcp
+from .words import ReducedWord, _common_prefix, concat, gromov, invert
 
 SCHEMA_FIXED = ["path_id", "step", "mi_len", "lcp_final"]
 SCHEMA_TAIL = ["x_gromov", "sel_gromov", "a_lcp"]
@@ -36,9 +36,9 @@ def _central_y(n: int) -> ReducedWord:
     return ReducedWord(tuple(i * sg for (_, i), sg in u.letters), n - 1)
 
 
-def _conj(x: ReducedWord, u: ReducedWord, delta: int) -> ReducedWord:
-    ud = u if delta > 0 else invert(u)
-    return concat(concat(x, ud), invert(x))
+def _conj(x: ReducedWord, x_inv: ReducedWord, u: ReducedWord) -> ReducedWord:
+    """x . u . x^-1, with x^-1 passed in so a caller inverts x only once."""
+    return concat(concat(x, u), x_inv)
 
 
 @dataclass
@@ -63,10 +63,11 @@ def run_experiment(config: WalkConfig, *, track_x: bool = True,
     n = config.n
     checkpoints = list(config.checkpoints) or [config.steps]
     u_y = _central_y(n) if (track_x or selective) else None
+    u_pm = {1: u_y, -1: invert(u_y)} if u_y is not None else None
     report = StabilizationReport(config, [], [])
     for path in sample_paths(config):
         try:
-            rows = _run_path(path, config, checkpoints, u_y, track_x,
+            rows = _run_path(path, config, checkpoints, u_pm, track_x,
                              selective, artin_index, occurrence, report)
         except LengthGuardError:
             report.failures.append(path.index)
@@ -77,8 +78,8 @@ def run_experiment(config: WalkConfig, *, track_x: bool = True,
 
 
 def _run_path(path: Path, config: WalkConfig, checkpoints: list[int],
-              u_y: Optional[ReducedWord], track_x: bool, selective: bool,
-              artin_index: Optional[int],
+              u_pm: Optional[dict[int, ReducedWord]], track_x: bool,
+              selective: bool, artin_index: Optional[int],
               occurrence: Optional[tuple[int, int]],
               report: StabilizationReport) -> list[dict]:
     n = config.n
@@ -101,7 +102,8 @@ def _run_path(path: Path, config: WalkConfig, checkpoints: list[int],
     x_final = final.parts[0]
     a_final = (invert(a_word(pure_prefixes[config.steps], artin_index))
                if artin_index is not None else None)
-    ref = _conj(x_final, u_y, +1) if (selective and u_y is not None) else None
+    ref = (_conj(x_final, invert(x_final), u_pm[1])
+           if (selective and u_pm is not None) else None)
 
     rows = []
     for t in checkpoints:
@@ -116,20 +118,21 @@ def _run_path(path: Path, config: WalkConfig, checkpoints: list[int],
             row[f"part_len_{m}"] = len(form.parts[n - 1 - m])
         row["x_gromov"] = row["sel_gromov"] = row["a_lcp"] = None
         x_t = form.parts[0]
+        if u_pm is not None:  # x_t . u_y^delta . x_t^-1 for delta = +-1
+            x_inv = invert(x_t)
+            conj = {d: _conj(x_t, x_inv, u) for d, u in u_pm.items()}
         if track_x:
             row["x_gromov"] = gromov(x_t, x_final)
-            for delta in (1, -1):  # Theorem-2 proof inequality
-                c = _conj(x_t, u_y, delta)
-                if gromov(x_t, c) < Fraction(len(c) - len(u_y), 2):
+            for c in conj.values():  # Theorem-2 proof inequality
+                if gromov(x_t, c) < Fraction(len(c) - len(u_pm[1]), 2):
                     report.thm2_ok = False
         if selective:
-            best = max((gromov(_conj(x_t, u_y, d), ref), d) for d in (1, -1))
+            best = max((gromov(c, ref), d) for d, c in conj.items())
             row["sel_gromov"] = best[0]
             row["sel_delta"] = best[1]
         if artin_index is not None:
             a_t = invert(a_word(pure_prefixes[t], artin_index))
-            row["a_lcp"] = lcp(a_t, a_final) if a_t.letters != a_final.letters \
-                else len(a_t)
+            row["a_lcp"] = gromov(a_t, a_final)
             if occurrence is not None:
                 r = occurrence_ratio(pure_prefixes[t], artin_index,
                                      occurrence[0], occurrence[1])

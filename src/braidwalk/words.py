@@ -296,10 +296,6 @@ def rho(x: Point, y: Point) -> Fraction:
     return Fraction(1, g + 1)
 
 
-def lcp(u: Point, v: Point):
-    return gromov(u, v)
-
-
 def in_ball(w: Point, center: BoundaryPoint, k: int) -> bool:
     """Membership in the cylinder ball B_{1/k}(center): common (k-1)-prefix."""
     if k < 1:

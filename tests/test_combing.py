@@ -1,4 +1,7 @@
-"""Combing: the split at one level, the full normal form, incremental steps."""
+"""Combing: one level of the normal form, the full form, incremental steps.
+
+`mi_pure` and `mi_braid` run on `MIStepper`, so the independent checks
+here are `braid_equal` on flattened forms and the low-row recursion."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +12,8 @@ from braidwalk.braids import (BraidWord, PureGenerator, PureWord, expand,
 from braidwalk.combing import (LengthGuardError, MIForm, MIStepper,
                                _pure_conj_images,
                                central_element, flat_tokens, flatten,
-                               identity_form, mi_braid, mi_pure, mi_step,
-                               parse_mi, print_mi, rho_action, split)
+                               identity_form, mi_braid, mi_pure, parse_mi,
+                               print_mi, rho_action)
 from braidwalk.words import ParseError, reduce
 
 N = 4
@@ -30,7 +33,8 @@ def braid_words(max_size=8):
 
 
 # ---------------------------------------------------------------------------
-# one-level split
+# one level: gamma = x . alpha, x = V_{N-1} over the top row, alpha the
+# low-row subword of gamma
 # ---------------------------------------------------------------------------
 
 def _lift(alpha):
@@ -38,22 +42,24 @@ def _lift(alpha):
     return BraidWord(N, to_braid(alpha).letters)
 
 
+def _low_rows(gamma):
+    return PureWord(N - 1, tuple(l for l in gamma.letters if l[0][0] < N))
+
+
 @given(pure_words(6))
 @settings(max_examples=50)
 def test_split_reassembles(gamma):
-    st_ = split(gamma)
-    # x expands over the top row, alpha is the lower-row subword
+    x = mi_pure(gamma).parts[0]
     x_braid = to_braid(PureWord(
-        N, tuple(((N, abs(l)), 1 if l > 0 else -1) for l in st_.x.letters)))
-    assert braid_equal(x_braid * _lift(st_.alpha), to_braid(gamma))
+        N, tuple(((N, abs(l)), 1 if l > 0 else -1) for l in x.letters)))
+    assert braid_equal(x_braid * _lift(_low_rows(gamma)), to_braid(gamma))
 
 
 @given(pure_words(6))
 @settings(max_examples=50)
 def test_split_alpha_is_the_low_row_subword(gamma):
-    st_ = split(gamma)
-    assert st_.alpha.letters == tuple(l for l in gamma.letters
-                                      if l[0][0] < N)
+    # the parts below the top are the combing of the low-row subword
+    assert mi_pure(gamma).parts[1:] == mi_pure(_low_rows(gamma)).parts
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +141,8 @@ def test_mi_braid_soundness(beta):
 def test_incremental_equals_batch(beta):
     stepper = MIStepper(N)
     for l in beta.letters:
-        form = mi_step(stepper, l)
+        stepper.step(l)
+        form = stepper.form()
     if beta.letters:
         assert form == mi_braid(beta)
     else:
@@ -185,6 +192,16 @@ def test_identity_form():
     f = identity_form(N)
     assert all(p.is_empty() for p in f.parts)
     assert len(flatten(f)) == 0
+
+
+@given(ranked_pure_words())
+@settings(max_examples=40, deadline=None)
+def test_length_guard_boundary_is_the_final_form_size(gamma):
+    size = sum(len(p) for p in mi_pure(gamma).parts)
+    assert mi_pure(gamma, length_guard=size) == mi_pure(gamma)
+    with pytest.raises(LengthGuardError,
+                       match=f"combing exceeded {size - 1} letters"):
+        mi_pure(gamma, length_guard=size - 1)
 
 
 def test_length_guard_trips():

@@ -1,4 +1,4 @@
-"""The README's CLI examples run as written."""
+"""The README's CLI and library examples run as written."""
 
 import json
 import re
@@ -35,6 +35,14 @@ def measure_json() -> dict:
             break
         body.append(line.lstrip("#"))
     return json.loads("".join(body))
+
+
+def test_readme_library_example_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out
 
 
 def test_readme_has_cli_examples():
