@@ -8,59 +8,91 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from math import lcm
+from operator import neg
+from typing import Optional, Sequence
 
-from .words import (BoundaryPoint, ReducedWord, _pairs, _subst, concat,
-                    invert, left_translate, pow_infinity, power, prefix,
-                    print_free, rho, wing_core)
+from .words import (BoundaryPoint, ReducedWord, _common_prefix, _pairs,
+                    _subst, concat, invert, left_translate, pow_infinity,
+                    power, prefix, print_free, rho, wing_core)
 
 
-def _reduced_words(rank: int, length: int) -> Iterator[tuple[int, ...]]:
-    """All reduced words of exactly the given length."""
+def _check_k(k: int) -> None:
+    """The lemmas' radius 1/k needs a positive k."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+
+
+def _cover_search(a_inv: tuple[int, ...], plus: tuple[int, ...],
+                  minus: tuple[int, ...], rank: int) -> bool:
+    """Whether every reduced word w of length |a_inv| + |plus| has the
+    prefix `plus`, or a translate a_inv . w whose |plus|-prefix is `minus`.
+
+    A depth-first search over reduced prefixes w that closes a node as soon
+    as its fate is known (see `ball_cover_check`).  `minus` has the length
+    of `plus`.
+    """
+    m, c = len(a_inv), len(plus)
+    a = tuple(map(neg, reversed(a_inv)))
     alphabet = [l for g in range(1, rank + 1) for l in (g, -g)]
     stack: list[tuple[int, ...]] = [()]
     while stack:
         w = stack.pop()
-        if len(w) == length:
-            yield w
-            continue
-        for l in alphabet:
-            if not w or w[-1] != -l:
-                stack.append(w + (l,))
-    return
+        n = len(w)
+        plus_open = w[:c] == plus[:n]
+        if plus_open and n >= c:
+            continue  # covered: w[:c] == plus
+        p = _common_prefix(w, a)  # letters of w cancelled by a^-1 so far
+        if p < n or p == m:  # the cancellation has settled
+            t = (a_inv[:m - p] + w[p:])[:c]
+            if t == minus:
+                continue  # covered after translation
+            if not plus_open and t != minus[:len(t)]:
+                return False  # every extension of w is uncovered
+        stack.extend(w + (l,) for l in alphabet if not w or w[-1] != -l)
+    return True
 
 
 def ball_cover_check(a: ReducedWord, k: int) -> bool:
     """Machine check of the two-set cover  a.B_{1/k}(a^-inf) u B_{1/k}(a^+inf).
 
-    Enumerates all cylinders of depth D = |a| + k - 1: membership in
-    B_{1/k}(a^{+inf}) is decided by the (k-1)-prefix, and translation by
-    a^-1 cancels at most |a| letters, so the translated (k-1)-prefix is
-    determined by the first |a| + k - 1 letters either way.
+    Membership of w in B_{1/k}(a^{+inf}) is decided by its (k-1)-prefix,
+    and translation by a^-1 cancels at most |a| letters, so the cover holds
+    iff every cylinder of depth D = |a| + k - 1 lies in one of the two
+    balls.  Rather than enumerate the 2r(2r-1)^(D-1) cylinders of rank r,
+    a depth-first search over reduced prefixes w (`_cover_search`) closes
+    a node as soon as its fate is known, with c = k - 1:
+
+    - covered: w[:c] is the c-prefix of a^{+inf};
+    - covered after translation: the cancellation p of a^-1 . w has settled
+      (p < |w|, or p = |a|) and the c-prefix of a^-1[:|a|-p] + w[p:] is
+      the c-prefix of a^{-inf};
+    - counterexample: w has left the c-prefix of a^{+inf} and the known
+      part of that translated prefix disagrees with a^{-inf}; the check
+      returns False.
+
+    At depth D the (k-1)-prefix and the cancellation are both settled, so
+    every node there is closed; each depth-D cylinder lies under exactly one
+    closed node, and the search is as exhaustive as the enumeration.  With
+    a = X.A.X^-1 (A cyclically reduced), a and a^{+inf} share the prefix
+    X.A of length >= |a|/2 >= k, so a node that leaves a^{+inf}[:c] has
+    also left a: its cancellation has settled with at least |a| - c > c
+    letters of a^-1 left, and it closes at once.  Only the k - 1 proper
+    prefixes of a^{+inf}[:c] stay open, so the search visits at most
+    1 + (k - 1)(2 rank - 1) nodes, at O(|a| + k) work each.
     """
+    _check_k(k)
     if len(a) < 2 * k:
         raise ValueError(f"ball_cover_check needs |a| >= 2k, got |a|={len(a)}")
-    depth = max(k - 1, len(a) + k - 1)
     plus = prefix(pow_infinity(a, +1), k - 1).letters
     minus = prefix(pow_infinity(a, -1), k - 1).letters
-    a_inv = invert(a).letters
-    m = len(a_inv)
-    cut = k - 1
-    for w in _reduced_words(a.rank, depth):
-        if w[:cut] == plus:
-            continue
-        p = 0  # junction cancellation of a^-1 . w
-        while p < m and a_inv[m - 1 - p] == -w[p]:
-            p += 1
-        if (a_inv[:m - p] + w[p:])[:cut] == minus:
-            continue
-        return False
-    return True
+    return _cover_search(invert(a).letters, plus, minus, a.rank)
 
 
 def find_large_wing(a: ReducedWord, b: ReducedWord, k: int) -> ReducedWord:
     """First element of (a, b, a^{20k} b a^{-20k}, b^{20k} a b^{-20k}) whose
     wing has length >= k; existence is the content of the lemma."""
+    _check_k(k)
     if concat(a, b).letters == concat(b, a).letters:
         raise ValueError("find_large_wing requires non-commuting inputs")
     candidates = [
@@ -76,6 +108,7 @@ def find_large_wing(a: ReducedWord, b: ReducedWord, k: int) -> ReducedWord:
 
 def contracting_family(a: ReducedWord, k: int) -> list[ReducedWord]:
     """{a, a^2, ..., a^k}, the totally (1/k)-contracting collection."""
+    _check_k(k)
     if a.is_empty() or len(wing_core(a).wing) < k:
         raise ValueError(f"contracting_family needs wing length >= {k}")
     return [power(a, m) for m in range(1, k + 1)]
@@ -139,8 +172,6 @@ def q_collection_witness(a: ReducedWord, b: ReducedWord, k: int,
     """A (1/k)-contracting witness from the generated collection, without
     materializing it: a large-wing h from short products of a, b, then a
     witness among {h, ..., h^k}."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     h = find_large_wing(a, b, k)
     for g in contracting_family(h, k):
         w = is_eps_contracting(g, lam, Fraction(1, k))
@@ -183,11 +214,13 @@ def min_convolution_hit(mu: Sequence[tuple[object, Fraction]], g: object,
         raise TypeError(f"unsupported element type {type(el).__name__}")
 
     target = key(g)
-    atoms = [(el, key(el), wt) for el, wt in mu]
+    # masses are kept as integers over den^s: den clears every weight
+    den = lcm(*(Fraction(wt).denominator for _, wt in mu))
+    atoms = [(el, key(el), int(wt * den)) for el, wt in mu]
     # s = 0 is the point mass at the identity; the search starts at s = 1
-    current: dict[object, Fraction] = {None: Fraction(1)}
+    current: dict[object, int] = {None: 1}
     for s in range(1, s_max + 1):
-        nxt: dict[object, Fraction] = {}
+        nxt: dict[object, int] = {}
         for kr, mass in current.items():
             pairs = None  # kr's images with their inverses, built once
             for el, ke, wt in atoms:
@@ -203,8 +236,9 @@ def min_convolution_hit(mu: Sequence[tuple[object, Fraction]], g: object,
         current = nxt
         hit = current.get(target)
         if hit is not None and hit > 0:
-            cp = 1 / hit
-            return ConvolutionHit(s, hit, cp, 1 / (1 + cp))
+            mass = Fraction(hit, den ** s)
+            cp = 1 / mass
+            return ConvolutionHit(s, mass, cp, 1 / (1 + cp))
     return None
 
 

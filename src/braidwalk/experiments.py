@@ -12,7 +12,6 @@ import csv
 import json
 import statistics
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .artin import a_word, occurrence_ratio
@@ -124,7 +123,7 @@ def _run_path(path: Path, config: WalkConfig, checkpoints: list[int],
         if track_x:
             row["x_gromov"] = gromov(x_t, x_final)
             for c in conj.values():  # Theorem-2 proof inequality
-                if gromov(x_t, c) < Fraction(len(c) - len(u_pm[1]), 2):
+                if 2 * gromov(x_t, c) < len(c) - len(u_pm[1]):
                     report.thm2_ok = False
         if selective:
             best = max((gromov(c, ref), d) for d, c in conj.items())

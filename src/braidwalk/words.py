@@ -168,11 +168,17 @@ def invert(u: ReducedWord) -> ReducedWord:
 
 
 def power(u: ReducedWord, q: int) -> ReducedWord:
-    base = u if q >= 0 else invert(u)
-    out = ReducedWord((), u.rank)
-    for _ in range(abs(q)):
-        out = concat(out, base)
-    return out
+    """u^q, built as X.A^q.X^-1 from u = X.A.X^-1 in one validated word.
+
+    The core A is cyclically reduced, so A^q is reduced and the wing X
+    joins it without cancellation.
+    """
+    if q == 0 or u.is_empty():
+        return ReducedWord((), u.rank)
+    wc = wing_core(u)
+    x = wc.wing.letters
+    core = wc.core.letters if q > 0 else invert(wc.core).letters
+    return ReducedWord(x + core * abs(q) + invert(wc.wing).letters, u.rank)
 
 
 @dataclass(frozen=True)
@@ -185,12 +191,12 @@ def wing_core(a: ReducedWord) -> WingCore:
     """Unique decomposition a = X·A·X^-1 with A cyclically reduced."""
     if a.is_empty():
         raise ValueError("wing_core of the empty word")
-    w = list(a.letters)
-    wing: list[int] = []
-    while len(w) >= 2 and w[0] == -w[-1]:
-        wing.append(w[0])
-        w = w[1:-1]
-    return WingCore(ReducedWord(tuple(wing), a.rank), ReducedWord(tuple(w), a.rank))
+    w, n = a.letters, len(a)
+    i = 0  # wing length
+    while n - 2 * i >= 2 and w[i] == -w[n - 1 - i]:
+        i += 1
+    return WingCore(ReducedWord(w[:i], a.rank),
+                    ReducedWord(w[i:n - i], a.rank))
 
 
 def _primitive_root(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -318,14 +324,9 @@ def coset_normalize_left(w: ReducedWord, c: ReducedWord) -> tuple[int, ReducedWo
     if c.is_empty():
         raise ValueError("translation element must be nontrivial")
     window = len(w) + len(c) + 2
-    best: tuple[int, int, int, ReducedWord] | None = None
-    for k in range(-window, window + 1):
-        rep = concat(power(c, k), w)
-        key = (len(rep), abs(k), k)
-        if best is None or key < best[:3]:
-            best = (*key, rep)
-    assert best is not None
-    return best[2], best[3]
+    reps = {k: concat(power(c, k), w) for k in range(-window, window + 1)}
+    k = min(reps, key=lambda k: (len(reps[k]), abs(k), k))
+    return k, reps[k]
 
 
 # ---------------------------------------------------------------------------

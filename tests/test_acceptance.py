@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from braidwalk.artin import apply_braid, braid_equal
-from braidwalk.boundary import (_reduced_words, ball_cover_check,
-                                find_large_wing, min_convolution_hit)
+from braidwalk.boundary import (ball_cover_check, find_large_wing,
+                                min_convolution_hit)
 from braidwalk.braids import (BraidWord, PureWord, _conj_table,
                               _expand_letters, parse_braid, perm,
                               sigma_to_pure, to_braid)
@@ -27,6 +27,7 @@ from braidwalk.walks import WalkConfig, uniform_sigma, uniform_s
 from braidwalk.words import (ReducedWord, concat, gromov, pow_infinity,
                              reduce, rho, wing_core)
 from braidwalk import reference
+from brute import reduced_words
 
 N = 4
 WALK_SEED = 11  # fixed seed of the trend experiments (criteria 10-12)
@@ -162,7 +163,7 @@ def test_criterion_07_ball_cover_exhaustive():
     ok = True
     for k in (1, 2, 3):
         for length in range(2 * k, 7):
-            for w in _reduced_words(2, length):
+            for w in reduced_words(2, length):
                 ok &= ball_cover_check(ReducedWord(w, 2), k)
     elapsed = time.time() - t0
     ok &= elapsed < 60

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from braidwalk.cli import main
 
@@ -156,6 +157,15 @@ def test_boundary_cover():
     assert rec["lemma"] == "ball-cover" and rec["verdict"] is True
 
 
+def test_nonpositive_k_is_exit_2():
+    for args in (("cover", "x1 x2", "--k", "0"),
+                 ("wing", "x1", "x2", "--k", "0"),
+                 ("wing", "x1", "x2", "--k", "-1")):
+        proc = run_process("boundary", *args)
+        assert_input_error(proc)
+        assert "k must be >= 1" in proc.stderr
+
+
 def test_boundary_wing():
     res = run("boundary", "wing", "x1", "x2", "--k", "2")
     assert res.exit_code == 0
@@ -205,3 +215,53 @@ def test_verify_paper_passes():
     assert res.exit_code == 0
     assert "FAIL" not in res.output
     assert res.output.count("PASS") >= 17
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the token grammar: every input ends in an exit code, never a crash
+# ---------------------------------------------------------------------------
+
+_exponent = st.one_of(st.just(""), st.integers(-3, 3).map(lambda e: f"^{e}"))
+
+
+def _token(base, index, ordered=False):
+    """A token with indices drawn from `index`; an ordered s-token puts the
+    larger index first, as s{j}.{i} with j > i needs."""
+    if base == "s":
+        def text(t):
+            j, i = sorted(t[:2], reverse=True) if ordered else t[:2]
+            return f"s{j}.{i}{t[2]}"
+        return st.tuples(index, index, _exponent).map(text)
+    return st.tuples(index, _exponent).map(lambda t: f"{base}{t[0]}{t[1]}")
+
+
+def _words(bases):
+    """Words in one alphabet with small indices, most of them valid."""
+    return st.sampled_from(bases).flatmap(lambda b: st.lists(
+        _token(b, st.integers(1, 4), ordered=True), max_size=20)
+    ).map(" ".join)
+
+
+_junk = st.sampled_from(["e", "x", "b", "s3", "s3.", "y1^", "z2", "b1^x"])
+_any_token = st.one_of(*(_token(b, st.integers(0, 12)) for b in "bsxy"),
+                       _junk)
+_mixed_word = st.lists(_any_token, max_size=8).map(" ".join)
+
+
+def assert_clean_exit(res):
+    assert res.exit_code in (0, 1, 2, 3), res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+@given(st.one_of(_words("bs"), _mixed_word),
+       st.one_of(st.just(4), st.integers(1, 5)))
+@settings(max_examples=150, deadline=None)
+def test_fuzz_mi(word, n):
+    assert_clean_exit(run("mi", word, "--n", str(n)))
+
+
+@given(st.one_of(_words("xy"), _mixed_word),
+       st.one_of(st.integers(1, 4), st.integers(-2, 20)))
+@settings(max_examples=150, deadline=None)
+def test_fuzz_boundary_cover(word, k):
+    assert_clean_exit(run("boundary", "cover", word, "--k", str(k)))

@@ -147,7 +147,7 @@ def test_join_is_concat(u, v):
     assert wi == invert(concat(u, v)).letters
 
 
-@given(words(), st.integers(-4, 4))
+@given(words(), st.integers(-40, 40))
 def test_power_matches_repeated_concat(u, q):
     base = u if q >= 0 else invert(u)
     out = ReducedWord((), RANK)
