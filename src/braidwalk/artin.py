@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .braids import BraidWord, PureWord, is_pure, perm, to_braid
-from .words import ReducedWord, _join, _pairs, _subst
+from .words import ReducedWord, _join, _pairs, _subst, _word
 
 UNDEFINED = None
 
@@ -137,13 +137,22 @@ def _fingerprint(sigma_letters: Sequence[int], n: int,
 
 @dataclass(frozen=True)
 class FreeAutomorphism:
+    """x_k -> images[k - 1]; the images are checked as reduced words of
+    rank n once, here, so `apply` joins them without a rescan."""
+
     n: int
     images: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if len(self.images) != self.n:
+            raise ValueError(f"need {self.n} images, got {len(self.images)}")
+        object.__setattr__(self, "images", tuple(
+            ReducedWord(w, self.n).letters for w in self.images))
 
     def apply(self, t: ReducedWord) -> ReducedWord:
         if t.rank != self.n:
             raise ValueError("rank mismatch")
-        return ReducedWord(_subst(_pairs(self.images), t.letters)[0], self.n)
+        return _word(_subst(_pairs(self.images), t.letters)[0], self.n)
 
 
 def artin_auto(letter: int, n: int) -> FreeAutomorphism:
@@ -162,7 +171,7 @@ def apply_braid(w: "BraidWord | PureWord", t: ReducedWord) -> ReducedWord:
     if t.rank != w.n:
         raise ValueError("rank mismatch")
     pairs = _pairs(_images(_sigma_letters(w), w.n))
-    return ReducedWord(_subst(pairs, t.letters)[0], w.n)
+    return _word(_subst(pairs, t.letters)[0], w.n)
 
 
 def braid_auto(w: "BraidWord | PureWord") -> FreeAutomorphism:
@@ -223,7 +232,7 @@ def a_word(gamma: "BraidWord | PureWord", i: int) -> ReducedWord:
     m, r = divmod(len(w), 2)
     if r != 1 or w[m] != i or w[:m] != tuple(-l for l in reversed(w[m + 1:])):
         raise AssertionError(f"gamma(x_{i}) lost the A x_i A^-1 shape: {w}")
-    return ReducedWord(w[:m], n)
+    return _word(w[:m], n)
 
 
 def occurrence_ratio(gamma: "BraidWord | PureWord", i: int, p: int, q: int,

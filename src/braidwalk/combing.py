@@ -39,7 +39,7 @@ from .braids import (BraidWord, Permutation, PureLetter, PureWord,
                      _expand_letters, _schreier_step, conjugate_pure,
                      coset_decompose, identity_perm, parse_braid_tokens,
                      positive_lift, print_braid, sigma_to_pure)
-from .words import ParseError, ReducedWord, _join, _subst
+from .words import ParseError, ReducedWord, _join, _subst, _word
 
 DEFAULT_LENGTH_GUARD = 10 ** 6
 
@@ -77,7 +77,7 @@ def rho_action(alpha: PureWord, f: ReducedWord) -> ReducedWord:
     ims = list(_generator_pairs(m))
     for (j, i), sg in alpha.letters:
         ims = _apply_pure_conj(ims, j, i, sg, m)
-    return ReducedWord(tuple(_subst(ims, f.letters)[0]), m)
+    return _word(tuple(_subst(ims, f.letters)[0]), m)
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,7 @@ class MIStepper:
                 self._push_pure(conjugate_pure(pi, (letter,)))
 
     def form(self) -> MIForm:
-        parts = tuple(ReducedWord(tuple(x), self.n - 1 - lvl)
+        parts = tuple(_word(tuple(x), self.n - 1 - lvl)
                       for lvl, (x, _) in enumerate(self.xs))
         return MIForm(self.n, parts, positive_lift(self.coset_perm))
 

@@ -18,7 +18,7 @@ from .artin import a_word, occurrence_ratio
 from .braids import PureLetter, PureWord, parse_braid_tokens
 from .combing import LengthGuardError, MIForm, MIStepper, central_element
 from .walks import Path, WalkConfig, distribution_to_json, sample_paths
-from .words import ReducedWord, _common_prefix, concat, gromov, invert
+from .words import ReducedWord, _common_prefix, _word, concat, gromov, invert
 
 SCHEMA_FIXED = ["path_id", "step", "mi_len", "lcp_final"]
 SCHEMA_TAIL = ["x_gromov", "sel_gromov", "a_lcp"]
@@ -30,9 +30,10 @@ def _token_letter(token: str) -> "int | PureLetter":
 
 
 def _central_y(n: int) -> ReducedWord:
-    """The central element as a word in the top free factor (y-alphabet)."""
+    """The central element as a word in the top free factor (y-alphabet):
+    y_1^-1 ... y_{n-1}^-1, reduced since its letters are distinct."""
     u = central_element(n)
-    return ReducedWord(tuple(i * sg for (_, i), sg in u.letters), n - 1)
+    return _word(tuple(i * sg for (_, i), sg in u.letters), n - 1)
 
 
 def _conj(x: ReducedWord, x_inv: ReducedWord, u: ReducedWord) -> ReducedWord:

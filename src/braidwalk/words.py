@@ -13,6 +13,15 @@ slice comparisons) and concatenates the rest (`_join`).  `_subst` runs the
 join over a substitution x_k -> (image, inverse), and is the one engine
 behind the x-action of `artin` and the y-action of `combing`.  The pairs
 may be tuples or `array('h')` words; the join keeps their type.
+
+Letters are validated once, where they enter the package: `ReducedWord(...)`
+is the one public constructor and checks every letter (an integer, nonzero,
+within the rank) and every adjacent pair (no cancellation).  The parsers,
+`reduce` and the CLI go through it.  A word the kernel builds from valid
+words (`concat`, `invert`, `power`, `wing_core`, `prefix`,
+`BoundaryPoint.make`, the Artin and combing images) is reduced and in rank
+by construction, so it is wrapped by the private `_word` without a rescan:
+on long walks the rescans of joined words cost more than the joins.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import neg
+from operator import index, neg
 from typing import Iterable, Sequence, Union
 
 INFINITE = math.inf
@@ -122,16 +131,29 @@ def _subst(pairs: Sequence[tuple[Seq, Seq]], word: Seq) -> tuple[Seq, Seq]:
 
 @dataclass(frozen=True)
 class ReducedWord:
-    """A freely reduced word; the universal currency of free-group work."""
+    """A freely reduced word; the universal currency of free-group work.
+
+    The constructor is the public, checked path: it stores the letters as a
+    tuple of ints (any integer type is accepted, anything else raises
+    RankError) and rejects a letter outside the rank or a cancelling pair.
+    Words built inside the package from valid words skip the check through
+    `_word`.
+    """
 
     letters: tuple[int, ...]
     rank: int
 
     def __post_init__(self):
-        for l in self.letters:
+        try:
+            letters = tuple(map(index, self.letters))
+        except TypeError:
+            raise RankError(
+                f"letters must be integers, got {self.letters!r:.60}") from None
+        object.__setattr__(self, "letters", letters)
+        for l in letters:
             if l == 0 or abs(l) > self.rank:
                 raise RankError(f"letter {l} outside rank {self.rank}")
-        for a, b in zip(self.letters, self.letters[1:]):
+        for a, b in zip(letters, letters[1:]):
             if a == -b:
                 raise ValueError("word is not reduced")
 
@@ -140,6 +162,15 @@ class ReducedWord:
 
     def is_empty(self) -> bool:
         return not self.letters
+
+
+def _word(letters: tuple[int, ...], rank: int) -> ReducedWord:
+    """A ReducedWord without the check, for a tuple of ints that is reduced
+    and within the rank by construction.  Never exported."""
+    w = object.__new__(ReducedWord)
+    object.__setattr__(w, "letters", letters)
+    object.__setattr__(w, "rank", rank)
+    return w
 
 
 def reduce(letters: Iterable[int], rank: int) -> ReducedWord:
@@ -160,25 +191,25 @@ def concat(u: ReducedWord, v: ReducedWord) -> ReducedWord:
     k = 0
     while k < m and a[-1 - k] == -b[k]:
         k += 1
-    return ReducedWord(a[:len(a) - k] + b[k:], u.rank)
+    return _word(a[:len(a) - k] + b[k:], u.rank)
 
 
 def invert(u: ReducedWord) -> ReducedWord:
-    return ReducedWord(tuple(map(neg, reversed(u.letters))), u.rank)
+    return _word(tuple(map(neg, reversed(u.letters))), u.rank)
 
 
 def power(u: ReducedWord, q: int) -> ReducedWord:
-    """u^q, built as X.A^q.X^-1 from u = X.A.X^-1 in one validated word.
+    """u^q, built as X.A^q.X^-1 from u = X.A.X^-1 in one word.
 
     The core A is cyclically reduced, so A^q is reduced and the wing X
     joins it without cancellation.
     """
     if q == 0 or u.is_empty():
-        return ReducedWord((), u.rank)
+        return _word((), u.rank)
     wc = wing_core(u)
     x = wc.wing.letters
     core = wc.core.letters if q > 0 else invert(wc.core).letters
-    return ReducedWord(x + core * abs(q) + invert(wc.wing).letters, u.rank)
+    return _word(x + core * abs(q) + invert(wc.wing).letters, u.rank)
 
 
 @dataclass(frozen=True)
@@ -195,8 +226,7 @@ def wing_core(a: ReducedWord) -> WingCore:
     i = 0  # wing length
     while n - 2 * i >= 2 and w[i] == -w[n - 1 - i]:
         i += 1
-    return WingCore(ReducedWord(w[:i], a.rank),
-                    ReducedWord(w[i:n - i], a.rank))
+    return WingCore(_word(w[:i], a.rank), _word(w[i:n - i], a.rank))
 
 
 def _primitive_root(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -209,10 +239,22 @@ def _primitive_root(word: tuple[int, ...]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class BoundaryPoint:
-    """An eventually periodic boundary point head·period^inf, canonical."""
+    """An eventually periodic boundary point head·period^inf, canonical.
+
+    Build points with `make`.  The constructor only checks, in constant
+    time, what makes head·period^k reduced for every k, which `prefix`
+    relies on: one rank, a nonempty cyclically reduced period, and no
+    cancellation between head and period.
+    """
 
     head: ReducedWord
     period: ReducedWord
+
+    def __post_init__(self):
+        h, p = self.head.letters, self.period.letters
+        if (self.head.rank != self.period.rank or not p or p[0] == -p[-1]
+                or (h and h[-1] == -p[0])):
+            raise ValueError("boundary point head·period^inf is not reduced")
 
     @property
     def rank(self) -> int:
@@ -224,8 +266,10 @@ class BoundaryPoint:
         then peel the head to minimal length (rotating the period)."""
         if period.is_empty():
             raise ValueError("period must be nonempty")
-        if concat(period, period).letters != period.letters * 2:
+        if period.letters[0] == -period.letters[-1]:
             raise ValueError("period must be cyclically reduced")
+        if head.rank != period.rank:  # the head's letters must fit the rank
+            head = ReducedWord(head.letters, period.rank)
         p = list(_primitive_root(period.letters))
         h = list(head.letters)
         # cancellation of head tail against period start: unroll
@@ -236,8 +280,8 @@ class BoundaryPoint:
         while h and h[-1] == p[-1]:
             p = p[-1:] + p[:-1]  # rotate right
             h.pop()
-        return BoundaryPoint(ReducedWord(tuple(h), period.rank),
-                             ReducedWord(tuple(p), period.rank))
+        return BoundaryPoint(_word(tuple(h), period.rank),
+                             _word(tuple(p), period.rank))
 
 
 def pow_infinity(a: ReducedWord, sign: int) -> BoundaryPoint:
@@ -263,8 +307,8 @@ def prefix(w: "ReducedWord | BoundaryPoint", k: int) -> ReducedWord:
     if isinstance(w, ReducedWord):
         if k > len(w):
             raise ValueError("prefix longer than finite word")
-        return ReducedWord(w.letters[:k], w.rank)
-    return ReducedWord(_unroll(w, k), w.rank)
+        return _word(w.letters[:k], w.rank)
+    return _word(_unroll(w, k), w.rank)
 
 
 Point = Union[ReducedWord, BoundaryPoint]

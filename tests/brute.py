@@ -1,5 +1,5 @@
-"""Brute-force references for the tests: plain enumerations that share no
-code with the searches they check."""
+"""Brute-force references for the tests: plain enumerations and a plain free
+reduction that share no code with the kernel they check."""
 
 from __future__ import annotations
 
@@ -36,3 +36,17 @@ def cover_by_enumeration(a_inv: tuple[int, ...], plus: tuple[int, ...],
             continue
         return False
     return True
+
+
+def free_reduce(letters) -> tuple[int, ...]:
+    """Free reduction by deleting adjacent inverse pairs, stepping back one
+    place after each deletion."""
+    w = list(letters)
+    i = 0
+    while i + 1 < len(w):
+        if w[i] == -w[i + 1]:
+            del w[i:i + 2]
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return tuple(w)

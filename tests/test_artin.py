@@ -11,7 +11,7 @@ from braidwalk.artin import (DEFAULT_IMAGE_BUDGET, FreeAutomorphism,
                              artin_auto, braid_auto, braid_equal,
                              occurrence_ratio)
 from braidwalk.braids import BraidWord, PureWord, coset_decompose, to_braid
-from braidwalk.words import ReducedWord, concat, invert, reduce
+from braidwalk.words import RankError, ReducedWord, concat, invert, reduce
 
 N = 4
 
@@ -124,6 +124,14 @@ def test_free_automorphism_rank_checks():
     f = FreeAutomorphism(N, tuple((k,) for k in range(1, N + 1)))
     with pytest.raises(ValueError):
         f.apply(ReducedWord((1,), N + 1))
+    # the images are checked once, when the automorphism is built
+    with pytest.raises(ValueError, match="^word is not reduced$"):
+        FreeAutomorphism(2, ((1, -1), (2,)))
+    with pytest.raises(RankError):
+        FreeAutomorphism(2, ((3,), (2,)))
+    with pytest.raises(ValueError, match="^need 2 images, got 1$"):
+        FreeAutomorphism(2, ((1,),))
+    assert FreeAutomorphism(2, ([2], [1])).images == ((2,), (1,))
 
 
 @given(braid_words(10))

@@ -191,6 +191,23 @@ def test_boundary_contract(tmp_path):
     assert rec["witness"]["epsilon"] == "1/2"
 
 
+def test_contract_rejects_an_element_outside_the_measure_rank(tmp_path):
+    proc = run_process("boundary", "contract", "x3", "--measure",
+                       _measure_file(tmp_path), "--eps", "1/2")
+    assert_input_error(proc)
+    assert "letter 3 outside rank 2" in proc.stderr
+
+
+def test_contract_rejects_a_period_not_cyclically_reduced(tmp_path):
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps({"atoms": [
+        {"head": "e", "period": "x1 x2 x1^-1", "weight": "1"}]}))
+    proc = run_process("boundary", "contract", "x1", "--measure", str(p),
+                       "--eps", "1/2")
+    assert_input_error(proc)
+    assert "period must be cyclically reduced" in proc.stderr
+
+
 def test_boundary_qwitness(tmp_path):
     path = _measure_file(tmp_path)
     res = run("boundary", "qwitness", "x1 x2 x1^-1", "x2", "--k", "2",

@@ -251,6 +251,10 @@ def test_parse_mi_errors():
         parse_mi("e | e ; e", N)          # wrong part count
     with pytest.raises(ParseError):
         parse_mi("s3.1 | e | e ; e", N)   # wrong row in part
+    with pytest.raises(ParseError):
+        parse_mi("s4.5 | e | e ; e", N)   # letter 5 in a rank-3 part
+    with pytest.raises(ValueError, match="^word is not reduced$"):
+        parse_mi("s4.1 s4.1^-1 | e | e ; e", N)
 
 
 def test_flat_tokens_marks_boundaries():

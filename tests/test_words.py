@@ -3,6 +3,7 @@
 from array import array
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -44,6 +45,26 @@ def test_reduced_word_rejects_unreduced_letters():
         ReducedWord((1, -1), RANK)
     with pytest.raises(RankError):
         ReducedWord((4,), RANK)
+
+
+def test_reduced_word_stores_a_tuple_of_ints():
+    w = ReducedWord([1, 2], RANK)
+    assert type(w.letters) is tuple
+    assert w == ReducedWord((1, 2), RANK)
+    assert hash(w) == hash(ReducedWord((1, 2), RANK))
+    assert concat(w, ReducedWord([-2, 3], RANK)).letters == (1, 3)
+    v = ReducedWord(np.array([1, -2, 3], dtype=np.int16), RANK)
+    assert v.letters == (1, -2, 3)
+    assert all(type(l) is int for l in v.letters)
+    assert v == ReducedWord((1, -2, 3), RANK)
+    with pytest.raises(RankError):
+        ReducedWord(np.array([1, RANK + 1]), RANK)
+
+
+@pytest.mark.parametrize("bad", [(1.0, 2), (1, 2.5), ("1",), (None,)])
+def test_reduced_word_rejects_non_integer_letters(bad):
+    with pytest.raises(RankError, match="^letters must be integers"):
+        ReducedWord(bad, RANK)
 
 
 @pytest.mark.parametrize("bad", [0, RANK + 1, -(RANK + 1)])
@@ -185,8 +206,16 @@ def test_boundary_point_canonical_form_absorbs_head():
 
 
 def test_boundary_point_requires_cyclically_reduced_period():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^period must be cyclically reduced$"):
         BoundaryPoint.make(reduce([], RANK), reduce([1, 2, -1], RANK))
+    with pytest.raises(RankError):  # a head letter outside the period's rank
+        BoundaryPoint.make(reduce([RANK + 1], RANK + 1), reduce([1], RANK))
+    # the plain constructor rejects what would make head.period^k unreduced
+    for head, period in (([], [1, 2, -1]), ([-1], [1, 2]), ([], [])):
+        with pytest.raises(ValueError, match="is not reduced$"):
+            BoundaryPoint(reduce(head, RANK), reduce(period, RANK))
+    with pytest.raises(ValueError, match="is not reduced$"):
+        BoundaryPoint(reduce([1], RANK + 1), reduce([2], RANK))
 
 
 @given(nontrivial_words(6), st.integers(1, 4))
@@ -269,6 +298,11 @@ def test_parse_print_roundtrip():
     assert parse_free(print_free(w), RANK) == w
     assert parse_free("e").is_empty()
     assert parse_free("x2^-3").letters == (-2, -2, -2)
+
+
+def test_parse_rejects_a_letter_above_the_rank():
+    with pytest.raises(RankError, match="^letter 3 outside rank 2$"):
+        parse_free("x1 x3", 2)
 
 
 def test_parse_rejects_mixed_alphabets():
