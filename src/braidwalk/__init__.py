@@ -2,13 +2,14 @@
 boundary machinery, and seeded random-walk stabilization experiments."""
 
 from .words import (BoundaryPoint, INFINITE, ParseError, ReducedWord,  # noqa: F401,E402
-                    WingCore, concat, coset_normalize_left, gromov, in_ball,
-                    invert, left_translate, parse_free, pow_infinity,
-                    power, prefix, print_free, reduce, rho, wing_core)
-from .braids import (BraidWord, Permutation, PureGenerator, PureWord,  # noqa: F401,E402
-                     conj_rule, coset_decompose, expand, free_reduce_braid,
-                     is_pure, parse_braid, parse_pure, perm, positive_lift,
-                     print_braid, print_pure, sigma_to_pure, to_braid)
+                    VerificationError, WingCore, concat,
+                    coset_normalize_left, gromov, in_ball, invert,
+                    left_translate, parse_free, pow_infinity, power, prefix,
+                    print_free, reduce, rho, wing_core)
+from .braids import (BraidWord, Permutation, PureWord,  # noqa: F401,E402
+                     coset_decompose, free_reduce_braid, is_pure, parse_braid,
+                     perm, positive_lift, print_braid, sigma_to_pure,
+                     to_braid)
 from .artin import (FreeAutomorphism, UNDEFINED, a_word, apply_braid,  # noqa: F401,E402
                     artin_auto, braid_equal, occurrence_ratio)
 from .combing import (LengthGuardError, MIForm, MIStepper,  # noqa: F401,E402

@@ -28,7 +28,8 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .braids import BraidWord, PureWord, is_pure, perm, to_braid
-from .words import ReducedWord, _join, _pairs, _subst, _word
+from .words import (ReducedWord, VerificationError, _join, _pairs, _subst,
+                    _word)
 
 UNDEFINED = None
 
@@ -226,12 +227,15 @@ def braid_equal(u: "BraidWord | PureWord", v: "BraidWord | PureWord",
 def a_word(gamma: "BraidWord | PureWord", i: int) -> ReducedWord:
     """A_i(gamma): the conjugator in gamma(x_i) = A_i x_i A_i^-1."""
     n = gamma.n
+    if not 1 <= i <= n:
+        raise ValueError(f"x-index {i} out of range for n={n}")
     if isinstance(gamma, BraidWord) and not is_pure(gamma):
         raise ValueError("a_word requires a pure braid")
     w = _images(_sigma_letters(gamma), n)[i - 1]
     m, r = divmod(len(w), 2)
     if r != 1 or w[m] != i or w[:m] != tuple(-l for l in reversed(w[m + 1:])):
-        raise AssertionError(f"gamma(x_{i}) lost the A x_i A^-1 shape: {w}")
+        raise VerificationError(
+            f"gamma(x_{i}) lost the A x_i A^-1 shape: {w}")
     return _word(w[:m], n)
 
 

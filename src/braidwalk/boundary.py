@@ -12,9 +12,10 @@ from math import lcm
 from operator import neg
 from typing import Optional, Sequence
 
-from .words import (BoundaryPoint, ReducedWord, _common_prefix, _pairs,
-                    _subst, concat, invert, left_translate, pow_infinity,
-                    power, prefix, print_free, rho, wing_core)
+from .words import (BoundaryPoint, ReducedWord, VerificationError,
+                    _common_prefix, _pairs, _subst, _word, concat, invert,
+                    left_translate, pow_infinity, power, prefix, print_free,
+                    rho, wing_core)
 
 
 def _check_k(k: int) -> None:
@@ -103,7 +104,7 @@ def find_large_wing(a: ReducedWord, b: ReducedWord, k: int) -> ReducedWord:
     for h in candidates:
         if not h.is_empty() and len(wing_core(h).wing) >= k:
             return h
-    raise AssertionError("no large-wing candidate found; lemma violated")
+    raise VerificationError("no large-wing candidate found; lemma violated")
 
 
 def contracting_family(a: ReducedWord, k: int) -> list[ReducedWord]:
@@ -177,7 +178,7 @@ def q_collection_witness(a: ReducedWord, b: ReducedWord, k: int,
         w = is_eps_contracting(g, lam, Fraction(1, k))
         if w is not None:
             return w
-    raise AssertionError("no contracting witness found; lemma violated")
+    raise VerificationError("no contracting witness found; lemma violated")
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +231,8 @@ def min_convolution_hit(mu: Sequence[tuple[object, Fraction]], g: object,
                     if pairs is None:
                         pairs = _pairs(kr)
                     kk = tuple(_subst(pairs, w)[0] for w in ke)
-                else:
-                    kk = concat(ReducedWord(kr, el.rank), el).letters
+                else:  # kr is a product of reduced words: no recheck
+                    kk = concat(_word(kr, el.rank), el).letters
                 nxt[kk] = nxt.get(kk, 0) + mass * wt
         current = nxt
         hit = current.get(target)

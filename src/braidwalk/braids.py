@@ -4,6 +4,14 @@ Braid words store signed Artin-generator indices: letter +i is sigma_i,
 -i its inverse.  Pure words store ((j, i), sign) letters for the standard
 pure generators s_ji, 1 <= i < j <= n.
 
+Reidemeister-Schreier rewriting over the n! cosets of P_n in B_n is a
+finite transducer.  A coset is the tuple of its permutation's one-line
+images, and `_schreier(coset, letter)` is its one transition, for a
+sigma-letter or an s-letter alike; it is cached, so the transversal
+(`positive_lift`), the conjugation walk (`conjugate_pure`) and the
+certified table (`_conj_table`) run only to fill a cache miss.
+`sigma_to_pure` and the combing engine (`combing.MIStepper`) both walk it.
+
 Convention note (calibrated once, frozen here): a pure generator expands to
 
     s_ji  =  sigma_{j-1} ... sigma_{i+1} . sigma_i^-2 . sigma_{i+1}^-1 ... sigma_{j-1}^-1
@@ -20,7 +28,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import ParseError, _inv, _red_append
+from .words import ParseError, VerificationError, _inv, _red_append
 
 PureLetter = tuple[tuple[int, int], int]  # ((j, i), sign)
 
@@ -52,16 +60,6 @@ class BraidWord:
 
 
 @dataclass(frozen=True)
-class PureGenerator:
-    j: int
-    i: int
-
-    def __post_init__(self):
-        if not 1 <= self.i < self.j:
-            raise ValueError(f"need 1 <= i < j, got s_{self.j}{self.i}")
-
-
-@dataclass(frozen=True)
 class PureWord:
     """A word in the pure generators s_ji of P_n."""
 
@@ -88,16 +86,10 @@ class PureWord:
 
 
 def _expand_letters(j: int, i: int, sign: int = 1) -> list[int]:
+    """The sigma-letters of s_ji^sign; length 2(j-i)."""
     pre = list(range(j - 1, i, -1))
     w = pre + [-i, -i] + [-k for k in reversed(pre)]
     return w if sign > 0 else _inv(w)
-
-
-def expand(g: PureGenerator, n: int, sign: int = 1) -> BraidWord:
-    """The sigma-word of s_ji^sign; length 2(j-i)."""
-    if g.j > n:
-        raise ValueError(f"s_{g.j}.{g.i} needs n >= {g.j}")
-    return BraidWord(n, tuple(_expand_letters(g.j, g.i, sign)))
 
 
 def to_braid(w: PureWord) -> BraidWord:
@@ -130,29 +122,8 @@ class Permutation:
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise ValueError("not a bijection on 1..n")
 
-    def __call__(self, x: int) -> int:
-        return self.images[x - 1]
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
     def is_identity(self) -> bool:
         return all(self.images[k] == k + 1 for k in range(len(self.images)))
-
-    def inversions(self) -> int:
-        im = self.images
-        return sum(1 for a in range(len(im)) for b in range(a + 1, len(im))
-                   if im[a] > im[b])
-
-
-def identity_perm(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """First p, then q."""
-    return Permutation(tuple(q(p(x)) for x in range(1, p.n + 1)))
 
 
 def _apply_sigma(images: tuple[int, ...], i: int) -> tuple[int, ...]:
@@ -177,7 +148,13 @@ def positive_lift(p: Permutation) -> BraidWord:
 
     Length equals the inversion count of p, and perm round-trips.
     """
-    one_line = list(p.images)
+    return _transversal(p.images)
+
+
+@lru_cache(maxsize=None)
+def _transversal(coset: tuple[int, ...]) -> BraidWord:
+    """`positive_lift` of the coset given by its one-line images."""
+    one_line = list(coset)
     swaps: list[int] = []
     changed = True
     while changed:
@@ -187,7 +164,7 @@ def positive_lift(p: Permutation) -> BraidWord:
                 one_line[k], one_line[k + 1] = one_line[k + 1], one_line[k]
                 swaps.append(k + 1)
                 changed = True
-    return BraidWord(p.n, tuple(swaps))
+    return BraidWord(len(coset), tuple(swaps))
 
 
 def coset_decompose(beta: BraidWord) -> tuple[BraidWord, BraidWord]:
@@ -202,8 +179,8 @@ def free_reduce_braid(w: BraidWord) -> BraidWord:
 
 
 # ---------------------------------------------------------------------------
-# conj_rule: sigma . s . sigma^-1 as a short s-word, derived by bounded
-# search certified against the Artin equality oracle (never hard-coded)
+# sigma . s . sigma^-1 as a short s-word, derived by a search certified
+# against the Artin images (never hard-coded)
 # ---------------------------------------------------------------------------
 
 def _all_pure_letters(n: int) -> list[PureLetter]:
@@ -213,7 +190,10 @@ def _all_pure_letters(n: int) -> list[PureLetter]:
 
 @lru_cache(maxsize=None)
 def _conj_table(n: int) -> dict[tuple[PureLetter, int], tuple[PureLetter, ...]]:
-    from .artin import _images  # deferred: artin depends on expand above
+    """(s, sigma) -> an s-word equal to sigma . s . sigma^-1 in B_n: the core
+    letter t that the permutation action pins, or a . t . a^-1 for one pure
+    letter a, whichever comes first with equal Artin images."""
+    from .artin import _images  # deferred: artin imports this module
 
     def pure_sigma(ls):
         out = []
@@ -237,32 +217,16 @@ def _conj_table(n: int) -> dict[tuple[PureLetter, int], tuple[PureLetter, ...]]:
                 if _images(pure_sigma(cand), n) == target:
                     found = tuple(cand)
                     break
-            if found is None:  # certified fallback: full length <= 3 search
-                for a in letters:
-                    for b in letters:
-                        for c in letters:
-                            cand = [a, b, c]
-                            if _images(pure_sigma(cand), n) == target:
-                                found = tuple(cand)
-                                break
-                        if found:
-                            break
-                    if found:
-                        break
             if found is None:
-                raise AssertionError(
-                    f"conj_rule search failed for sigma_{sig} on s{pair}^{sg}")
+                raise VerificationError(
+                    f"conjugation search failed for sigma_{sig} on "
+                    f"s{pair}^{sg}")
             table[((pair, sg), sig)] = found
     return table
 
 
-def conj_rule(s: PureLetter, sigma: int, n: int) -> PureWord:
-    """The s-word (length <= 3) equal to sigma . s . sigma^-1 in B_n."""
-    return PureWord(n, _conj_table(n)[(s, sigma)])
-
-
 def conjugate_pure(word: BraidWord, s_letters: tuple[PureLetter, ...]) -> tuple[PureLetter, ...]:
-    """word . (s-letters) . word^-1 rewritten in s-letters via conj_rule.
+    """word . (s-letters) . word^-1 rewritten in s-letters via `_conj_table`.
 
     Conjugation by a product iterates innermost-first: the last letter of
     `word` acts first.
@@ -276,32 +240,39 @@ def conjugate_pure(word: BraidWord, s_letters: tuple[PureLetter, ...]) -> tuple[
     return tuple(free_reduce_pure(PureWord(word.n, tuple(cur))).letters)
 
 
-def _schreier_step(trans: Permutation, letter: int
-                   ) -> tuple[Permutation, tuple[PureLetter, ...]]:
-    """One Schreier rewriting step: returns (new transversal perm, emitted
-    s-letters).  Ascents emit nothing; descents emit a transversal-conjugated
-    s_{i+1,i}^{+-1} (sign flipped relative to the crossing because the
-    expansion convention has sigma_i^2 = expand(s_{i+1,i})^{-1}).  Swapping
-    the values i, i+1 changes the inversion count by exactly one: it rises
-    iff i stands left of i+1."""
+@lru_cache(maxsize=None)
+def _schreier(coset: tuple[int, ...], letter: "int | PureLetter"
+              ) -> tuple[tuple[int, ...], tuple[PureLetter, ...]]:
+    """One Schreier rewriting step from a coset (its permutation's one-line
+    images): returns (new coset, emitted s-letters).
+
+    A sigma-letter moves the coset.  Ascents emit nothing; descents emit a
+    transversal-conjugated s_{i+1,i}^{+-1} (sign flipped relative to the
+    crossing because the expansion convention has sigma_i^2 =
+    s_{i+1,i}^{-1}).  Swapping the values i, i+1 changes the inversion
+    count by exactly one: it rises iff i stands left of i+1.  An s-letter
+    keeps the coset and emits its conjugate by the transversal.  The cache
+    holds at most n! (n-1)(n+2) entries per n.
+    """
+    if isinstance(letter, tuple):
+        return coset, conjugate_pure(_transversal(coset), (letter,))
     i = abs(letter)
-    new = Permutation(_apply_sigma(trans.images, i))
-    rises = trans.images.index(i) < trans.images.index(i + 1)
-    if (letter > 0) == rises:
+    new = _apply_sigma(coset, i)
+    if (letter > 0) == (coset.index(i) < coset.index(i + 1)):
         return new, ()
     if letter > 0:
-        return new, conjugate_pure(positive_lift(new), (((i + 1, i), -1),))
-    return new, conjugate_pure(positive_lift(trans), (((i + 1, i), 1),))
+        return new, conjugate_pure(_transversal(new), (((i + 1, i), -1),))
+    return new, conjugate_pure(_transversal(coset), (((i + 1, i), 1),))
 
 
 def sigma_to_pure(gamma: BraidWord) -> PureWord:
     """Schreier rewriting of a pure sigma-word into the s-generators."""
-    trans = identity_perm(gamma.n)
+    identity = coset = tuple(range(1, gamma.n + 1))
     out: list[PureLetter] = []
     for l in gamma.letters:
-        trans, emitted = _schreier_step(trans, l)
+        coset, emitted = _schreier(coset, l)
         out.extend(emitted)
-    if not trans.is_identity():
+    if coset != identity:
         raise ValueError("sigma_to_pure requires a pure braid word")
     return free_reduce_pure(PureWord(gamma.n, tuple(out)))
 
@@ -346,22 +317,6 @@ def parse_braid(text: str, n: int) -> BraidWord:
         else:
             letters += _expand_letters(a, b, sg)
     return BraidWord(n, tuple(letters))
-
-
-def parse_pure(text: str, n: int) -> PureWord:
-    letters: list[PureLetter] = []
-    for pos, (kind, a, b, sg) in enumerate(parse_braid_tokens(text)):
-        if kind != "s":
-            raise ParseError("expected a pure s-word, found sigma token", pos)
-        letters.append(((a, b), sg))
-    return PureWord(n, tuple(letters))
-
-
-def print_pure(w: PureWord) -> str:
-    if not w.letters:
-        return "e"
-    return " ".join(f"s{j}.{i}" + ("^-1" if sg < 0 else "")
-                    for (j, i), sg in w.letters)
 
 
 def print_braid(w: BraidWord) -> str:

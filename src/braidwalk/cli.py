@@ -23,7 +23,8 @@ from .experiments import (artin_convergence_run, emit, selective_run,
                           stabilization_run, theorem2_run)
 from .walks import (GeneratorDistribution, WalkConfig, load_distribution,
                     uniform_s, uniform_sigma)
-from .words import BoundaryPoint, ParseError, ReducedWord, parse_free, print_free
+from .words import (BoundaryPoint, ParseError, ReducedWord, VerificationError,
+                    parse_free, print_free)
 
 
 class _Status(Exception):
@@ -45,6 +46,9 @@ def _guarded(f):
         except _Status as exc:
             click.echo(str(exc), err=True)
             sys.exit(exc.code)
+        except VerificationError as exc:
+            click.echo(f"verification failed: {exc}", err=True)
+            sys.exit(1)
         except ValueError as exc:
             click.echo(f"invalid input: {exc}", err=True)
             sys.exit(2)

@@ -4,11 +4,14 @@ Each level of the semidirect series P_m = F_{m-1} x| P_{m-1} writes a pure
 word as a free top part x (over y_j := s_{mj}) times a lower remainder
 alpha, whose own combing yields the parts below.  `MIStepper` is the one
 combing engine: it reads the letters left to right and keeps every level
-at once, so `mi_pure` and `mi_braid` feed it a whole word.  A top-row
-letter is carried into its free part through the conjugation action of
-the lower-row letters read before it.  That action of P_{m-1} on F_{m-1}
-is realized through the rank-(m-1) braid action on the y-alphabet (frozen
-calibrated form; derived by certified search):
+at once, so `mi_pure` and `mi_braid` feed it a whole word.  Every letter,
+sigma or s, first passes the one cached Schreier transition
+`braids._schreier`, which moves the coset pi and emits the s-letters of the
+pure part; those are then combed.  A top-row letter is carried into its
+free part through the conjugation action of the lower-row letters read
+before it.  That action of P_{m-1} on F_{m-1} is realized through the
+rank-(m-1) braid action on the y-alphabet (frozen calibrated form; derived
+by certified search):
 
     sigma_i   : y_i -> y_{i+1},            y_{i+1} -> y_{i+1} y_i y_{i+1}^-1
     sigma_i^-1: y_i -> y_i^-1 y_{i+1} y_i, y_{i+1} -> y_i
@@ -35,10 +38,9 @@ from functools import lru_cache
 from typing import Iterable
 
 from .artin import _generator_pairs, _images
-from .braids import (BraidWord, Permutation, PureLetter, PureWord,
-                     _expand_letters, _schreier_step, conjugate_pure,
-                     coset_decompose, identity_perm, parse_braid_tokens,
-                     positive_lift, print_braid, sigma_to_pure)
+from .braids import (BraidWord, PureLetter, PureWord, _expand_letters,
+                     _schreier, _transversal, parse_braid_tokens,
+                     print_braid)
 from .words import ParseError, ReducedWord, _join, _subst, _word
 
 DEFAULT_LENGTH_GUARD = 10 ** 6
@@ -130,7 +132,8 @@ def central_element(n: int) -> PureWord:
 class MIStepper:
     """Incremental combing along right multiplication by generator letters.
 
-    One level per rank r = n..2: the free part x_r (signed y-letters over
+    The coset pi is kept as its permutation's one-line images, and one
+    level per rank r = n..2: the free part x_r (signed y-letters over
     rank r-1) and the images of y_1..y_{r-1} under the conjugation action
     of everything that has passed down to lower levels so far.  Both are
     kept as (word, inverse) pairs of arrays and are replaced, never
@@ -140,23 +143,29 @@ class MIStepper:
     def __init__(self, n: int, length_guard: int = DEFAULT_LENGTH_GUARD):
         self.n = n
         self.length_guard = length_guard
-        self.coset_perm: Permutation = identity_perm(n)
+        self.coset = tuple(range(1, n + 1))
         empty = array("h")
         self.xs: list[Pair] = [(empty, empty)] * (n - 1)  # index 0: rank n
         self.images: list[list[Pair]] = [
             list(_generator_pairs(r - 1)) for r in range(n, 1, -1)]
 
-    def _push_pure(self, letters: Iterable[PureLetter]) -> None:
-        for (j, i), sg in letters:
-            lvl = self.n - j
-            for r_lvl in range(lvl):  # levels of rank > j: alpha update
-                m = self.n - 1 - r_lvl
-                self.images[r_lvl] = _apply_pure_conj(
-                    self.images[r_lvl], j, i, sg, m)
-            x, xi = self.xs[lvl]
-            y, yi = self.images[lvl][i - 1]
-            self.xs[lvl] = (_join(x, xi, y, yi) if sg > 0
-                            else _join(x, xi, yi, y))
+    def _push(self, letters: Iterable["int | PureLetter"]) -> None:
+        """Multiply by letters already checked to lie in B_n: each passes
+        the Schreier transition and its emitted s-letters are combed."""
+        coset = self.coset
+        for letter in letters:
+            coset, emitted = _schreier(coset, letter)
+            for (j, i), sg in emitted:
+                lvl = self.n - j
+                for r_lvl in range(lvl):  # levels of rank > j: alpha update
+                    m = self.n - 1 - r_lvl
+                    self.images[r_lvl] = _apply_pure_conj(
+                        self.images[r_lvl], j, i, sg, m)
+                x, xi = self.xs[lvl]
+                y, yi = self.images[lvl][i - 1]
+                self.xs[lvl] = (_join(x, xi, y, yi) if sg > 0
+                                else _join(x, xi, yi, y))
+        self.coset = coset
         # the guard bounds the letters of the normal form
         if sum(len(x) for x, _ in self.xs) > self.length_guard:
             raise LengthGuardError(
@@ -171,39 +180,34 @@ class MIStepper:
             if not 1 <= abs(letter) < self.n:
                 raise ValueError(
                     f"sigma index {letter} out of range for n={self.n}")
-            self.coset_perm, emitted = _schreier_step(self.coset_perm, letter)
-            self._push_pure(emitted)
         else:
             (j, i), sg = letter
             if not 1 <= i < j <= self.n:
                 raise ValueError(f"s{j}.{i} out of range for n={self.n}")
             if sg not in (1, -1):
                 raise ValueError("sign must be +-1")
-            if self.coset_perm.is_identity():
-                self._push_pure([letter])
-            else:
-                pi = positive_lift(self.coset_perm)
-                self._push_pure(conjugate_pure(pi, (letter,)))
+        self._push((letter,))
 
     def form(self) -> MIForm:
         parts = tuple(_word(tuple(x), self.n - 1 - lvl)
                       for lvl, (x, _) in enumerate(self.xs))
-        return MIForm(self.n, parts, positive_lift(self.coset_perm))
+        return MIForm(self.n, parts, _transversal(self.coset))
 
 
 def mi_pure(gamma: PureWord,
             length_guard: int = DEFAULT_LENGTH_GUARD) -> MIForm:
     """One MIStepper pass over gamma; the guard bounds the final form."""
     stepper = MIStepper(gamma.n, length_guard)
-    stepper._push_pure(gamma.letters)
+    stepper._push(gamma.letters)
     return stepper.form()
 
 
 def mi_braid(beta: BraidWord,
              length_guard: int = DEFAULT_LENGTH_GUARD) -> MIForm:
-    gamma, pi = coset_decompose(beta)
-    form = mi_pure(sigma_to_pure(gamma), length_guard)
-    return MIForm(beta.n, form.parts, pi)
+    """One MIStepper pass over beta; the guard bounds the final form."""
+    stepper = MIStepper(beta.n, length_guard)
+    stepper._push(beta.letters)
+    return stepper.form()
 
 
 # ---------------------------------------------------------------------------

@@ -65,10 +65,13 @@ def run_experiment(config: WalkConfig, *, track_x: bool = True,
     u_y = _central_y(n) if (track_x or selective) else None
     u_pm = {1: u_y, -1: invert(u_y)} if u_y is not None else None
     report = StabilizationReport(config, [], [])
+    letter_of = {tok: _token_letter(tok)
+                 for tok, _ in config.distribution.atoms}
     for path in sample_paths(config):
         try:
-            rows = _run_path(path, config, checkpoints, u_pm, track_x,
-                             selective, artin_index, occurrence, report)
+            rows = _run_path(path, config, checkpoints, letter_of, u_pm,
+                             track_x, selective, artin_index, occurrence,
+                             report)
         except LengthGuardError:
             report.failures.append(path.index)
             continue
@@ -78,6 +81,7 @@ def run_experiment(config: WalkConfig, *, track_x: bool = True,
 
 
 def _run_path(path: Path, config: WalkConfig, checkpoints: list[int],
+              letter_of: dict[str, "int | PureLetter"],
               u_pm: Optional[dict[int, ReducedWord]], track_x: bool,
               selective: bool, artin_index: Optional[int],
               occurrence: Optional[tuple[int, int]],
@@ -88,7 +92,7 @@ def _run_path(path: Path, config: WalkConfig, checkpoints: list[int],
     pure_prefixes: dict[int, PureWord] = {}
     pure_letters: list[PureLetter] = []
     for t, token in enumerate(path.letters, start=1):
-        letter = _token_letter(token)
+        letter = letter_of[token]
         stepper.step(letter)
         if artin_index is not None:
             if isinstance(letter, int):

@@ -40,6 +40,11 @@ class RankError(ValueError):
     """Letter outside the declared alphabet, or mixed ranks."""
 
 
+class VerificationError(RuntimeError):
+    """A proved invariant or a lemma's guaranteed search failed: a fault of
+    the program, never of its input."""
+
+
 def _red_append(buf: list[int], letters: Iterable[int]) -> list[int]:
     """Append letters to a reduced buffer, cancelling at the junction."""
     for l in letters:

@@ -1,5 +1,6 @@
-"""Brute-force references for the tests: plain enumerations and a plain free
-reduction that share no code with the kernel they check."""
+"""Brute-force references for the tests: plain enumerations, a plain free
+reduction and plain permutation counts that share no code with the kernel
+they check."""
 
 from __future__ import annotations
 
@@ -50,3 +51,14 @@ def free_reduce(letters) -> tuple[int, ...]:
         else:
             i += 1
     return tuple(w)
+
+
+def compose_images(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """One-line images of the permutation "first p, then q"."""
+    return tuple(q[p[x] - 1] for x in range(len(p)))
+
+
+def inversions(images: tuple[int, ...]) -> int:
+    """Number of pairs a < b with images[a] > images[b]."""
+    return sum(1 for a in range(len(images)) for b in range(a + 1, len(images))
+               if images[a] > images[b])

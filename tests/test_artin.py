@@ -99,6 +99,12 @@ def test_a_word_rejects_non_pure():
         a_word(BraidWord(N, (1,)), 1)
 
 
+@pytest.mark.parametrize("i", [0, -1, N + 1, 9])
+def test_a_word_rejects_index_out_of_range(i):
+    with pytest.raises(ValueError, match="out of range"):
+        a_word(PureWord(N, (((4, 1), 1),)), i)
+
+
 def test_occurrence_ratio():
     g = PureWord(N, (((4, 1), 1), ((3, 2), -1), ((4, 2), 1)))
     a = a_word(g, 4).letters

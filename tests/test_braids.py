@@ -1,17 +1,18 @@
-"""Braid words, permutations, Schreier rewriting, and conj_rule tables."""
+"""Braid words, permutations, Schreier rewriting, and conjugation tables."""
+
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidwalk.artin import braid_equal
-from braidwalk.braids import (BraidWord, Permutation, PureGenerator, PureWord,
-                              _conj_table, _expand_letters, compose,
-                              conj_rule, coset_decompose, expand,
-                              free_reduce_braid, identity_perm, is_pure,
-                              parse_braid, parse_pure, perm, positive_lift,
-                              print_braid, print_pure, sigma_to_pure,
-                              to_braid)
+from braidwalk.braids import (BraidWord, Permutation, PureWord,
+                              _all_pure_letters, _conj_table, _expand_letters,
+                              _schreier, coset_decompose, free_reduce_braid,
+                              is_pure, parse_braid, perm, positive_lift,
+                              print_braid, sigma_to_pure, to_braid)
 from braidwalk.words import ParseError
+from brute import compose_images, inversions
 
 N = 4
 
@@ -42,7 +43,8 @@ def test_braid_word_validates_indices():
 
 @given(braid_words(), braid_words())
 def test_perm_is_a_homomorphism(u, v):
-    assert perm(u * v) == compose(perm(u), perm(v))
+    assert perm(u * v).images == compose_images(perm(u).images,
+                                                perm(v).images)
 
 
 @given(braid_words())
@@ -55,7 +57,7 @@ def test_positive_lift_roundtrip(u):
     p = perm(u)
     lift = positive_lift(p)
     assert perm(lift) == p
-    assert len(lift) == p.inversions()
+    assert len(lift) == inversions(p.images)
     assert all(l > 0 for l in lift.letters)
 
 
@@ -79,19 +81,14 @@ def test_permutation_validates():
 def test_expand_is_pure_and_has_declared_length():
     for j in range(2, N + 1):
         for i in range(1, j):
-            w = expand(PureGenerator(j, i), N)
+            w = BraidWord(N, tuple(_expand_letters(j, i)))
             assert len(w) == 2 * (j - i)
             assert is_pure(w)
 
 
 def test_expand_inverse_is_word_inverse():
-    g = PureGenerator(4, 2)
-    assert expand(g, N, -1) == expand(g, N, 1).inverse()
-
-
-def test_pure_generator_validates():
-    with pytest.raises(ValueError):
-        PureGenerator(2, 2)
+    assert (BraidWord(N, tuple(_expand_letters(4, 2, -1)))
+            == BraidWord(N, tuple(_expand_letters(4, 2, 1))).inverse())
 
 
 @given(pure_words(), pure_words())
@@ -100,17 +97,35 @@ def test_to_braid_is_multiplicative(u, v):
 
 
 # ---------------------------------------------------------------------------
-# conj_rule: always derived, never hard-coded
+# conjugation tables: always derived, never hard-coded
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_conj_rule_certified_against_oracle(n):
-    for (s, sig) in _conj_table(n):
-        entry = conj_rule(s, sig, n)
+    for (s, sig), entry in _conj_table(n).items():
         assert len(entry) <= 3
         (j, i), sg = s
         lhs = BraidWord(n, (sig,) + tuple(_expand_letters(j, i, sg)) + (-sig,))
-        assert braid_equal(to_braid(entry), lhs)
+        assert braid_equal(to_braid(PureWord(n, entry)), lhs)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_conj_table_entries_are_core_or_conjugated_core(n):
+    # the core t is s_pq with p, q swapped by |sigma|; no entry needs more
+    # than one conjugating letter a around it
+    letters = set(_all_pure_letters(n))
+    table = _conj_table(n)
+    assert len(table) == len(letters) * 2 * (n - 1)
+    for (((p, q), sg), sig), entry in table.items():
+        sw = {abs(sig): abs(sig) + 1, abs(sig) + 1: abs(sig)}
+        hi, lo = sorted((sw.get(p, p), sw.get(q, q)), reverse=True)
+        t = ((hi, lo), sg)
+        if len(entry) == 3:
+            a, core, a_inv = entry
+            assert a in letters and a_inv == (a[0], -a[1])
+        else:
+            (core,) = entry
+        assert core == t
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +146,29 @@ def test_sigma_to_pure_rejects_non_pure():
 
 
 def test_sigma_squared_is_inverse_pure_generator():
-    # the frozen expansion has sigma_i^2 = expand(s_{i+1,i})^-1
+    # the frozen expansion has sigma_i^2 = s_{i+1,i}^-1
     assert sigma_to_pure(BraidWord(N, (1, 1))).letters == (((2, 1), -1),)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_schreier_transitions_against_oracle(n):
+    # every transition of the coset transducer, checked by the Artin action:
+    # lift(c) . l = emitted . lift(c') for a sigma-letter l, and
+    # lift(c) . s = emitted . lift(c) for an s-letter s
+    sigmas = [l * e for l in range(1, n) for e in (1, -1)]
+    for images in permutations(range(1, n + 1)):
+        lift = positive_lift(Permutation(images))
+        for letter in sigmas + _all_pure_letters(n):
+            new, emitted = _schreier(images, letter)
+            if isinstance(letter, int):
+                step = BraidWord(n, (letter,))
+                assert new == perm(lift * step).images
+            else:
+                step = to_braid(PureWord(n, (letter,)))
+                assert new == images
+            rhs = to_braid(PureWord(n, emitted)) * positive_lift(
+                Permutation(new))
+            assert braid_equal(lift * step, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +179,6 @@ def test_parse_print_roundtrip():
     w = parse_braid("b1 b2^-2 s3.1", N)
     assert w == BraidWord(N, (1, -2, -2) + tuple(_expand_letters(3, 1, 1)))
     assert parse_braid(print_braid(w), N) == w  # words stay literal
-    p = parse_pure("s4.2^-1 s2.1", N)
-    assert parse_pure(print_pure(p), N) == p
 
 
 def test_parse_errors_carry_positions():
@@ -152,12 +186,12 @@ def test_parse_errors_carry_positions():
         parse_braid("b1 q2", N)
     assert err.value.position == 1
     with pytest.raises(ParseError) as err:
-        parse_pure("s2.1 b1", N)
-    assert err.value.position == 1
+        parse_braid("b1 s2.1 s2.2", N)
+    assert err.value.position == 2
     with pytest.raises(ParseError):
         parse_braid("s1.2", N)  # needs j > i
 
 
 def test_identity_perm_and_free_reduce():
-    assert identity_perm(N).is_identity()
+    assert perm(BraidWord(N, ())).is_identity()
     assert free_reduce_braid(BraidWord(N, (1, -1, 2))).letters == (2,)

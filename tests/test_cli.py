@@ -137,6 +137,36 @@ def test_walk_with_one_strand_is_exit_2():
     assert_input_error(run_process("walk", "--n", "1"))
 
 
+def test_walk_artin_index_out_of_range_is_exit_2():
+    # i = 0 once read x_n's image and i = 9 once raised IndexError
+    for index in ("0", "9"):
+        proc = run_process("walk", "--n", "4", "--steps", "5", "--paths",
+                           "2", "--mode", "artin", "--i", index)
+        assert_input_error(proc)
+        assert f"x-index {index} out of range" in proc.stderr
+        assert proc.stdout == ""
+
+
+def test_verification_failure_is_exit_1():
+    # a lemma whose guaranteed search fails is a fault of the program:
+    # exit 1 with a message, not a traceback
+    script = (
+        "import sys\n"
+        "import braidwalk.boundary as blab\n"
+        "from braidwalk.cli import main\n"
+        "from braidwalk.words import VerificationError\n"
+        "def fail(*args):\n"
+        "    raise VerificationError('no large-wing candidate found')\n"
+        "blab.find_large_wing = fail\n"
+        "sys.argv = ['braidwalk', 'boundary', 'wing', 'x1', 'x2']\n"
+        "main()\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "verification failed: no large-wing candidate found" in proc.stderr
+
+
 def test_qwitness_rejects_k_below_2(tmp_path):
     assert_input_error(run_process(
         "boundary", "qwitness", "x1 x2 x1^-1", "x2", "--k", "1",

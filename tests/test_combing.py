@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidwalk.artin import braid_equal
-from braidwalk.braids import (BraidWord, PureGenerator, PureWord, expand,
-                              is_pure, to_braid)
+from braidwalk.braids import (BraidWord, PureWord, _expand_letters,
+                              coset_decompose, is_pure, parse_braid,
+                              parse_braid_tokens, perm, positive_lift,
+                              sigma_to_pure, to_braid)
 from braidwalk.combing import (LengthGuardError, MIForm, MIStepper,
                                _pure_conj_images,
                                central_element, flat_tokens, flatten,
@@ -111,7 +113,7 @@ def test_pure_conj_images_match_naive_y_action(m):
     for j in range(2, m + 1):
         for i in range(1, j):
             for sg in (1, -1):
-                sigma = expand(PureGenerator(j, i), m, sg).letters
+                sigma = _expand_letters(j, i, sg)
                 assert (_pure_conj_images(j, i, sg, m)
                         == naive_conj_images(sigma, m))
 
@@ -147,6 +149,47 @@ def test_incremental_equals_batch(beta):
         assert form == mi_braid(beta)
     else:
         assert stepper.form() == identity_form(N)
+
+
+@st.composite
+def ranked_braid_words(draw):
+    n = draw(st.integers(2, 6))
+    letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i]))
+    return BraidWord(n, tuple(draw(st.lists(letter, max_size=30))))
+
+
+@given(ranked_braid_words())
+@settings(max_examples=80, deadline=None)
+def test_mi_braid_equals_decompose_then_rewrite(beta):
+    # a second route to the form: split off the transversal, rewrite the
+    # pure sigma-word into s-letters and comb those
+    form = mi_pure(sigma_to_pure(coset_decompose(beta)[0]))
+    assert mi_braid(beta) == MIForm(beta.n, form.parts,
+                                    positive_lift(perm(beta)))
+
+
+@st.composite
+def mixed_texts(draw):
+    n = draw(st.integers(2, 5))
+    sigma = st.integers(1, n - 1).map(lambda i: f"b{i}")
+    pure = st.integers(2, n).flatmap(
+        lambda j: st.integers(1, j - 1).map(lambda i: f"s{j}.{i}"))
+    tokens = draw(st.lists(
+        st.tuples(st.one_of(sigma, pure), st.sampled_from(["", "^-1"])),
+        max_size=12))
+    return n, " ".join(t + e for t, e in tokens) or "e"
+
+
+@given(mixed_texts())
+@settings(max_examples=80, deadline=None)
+def test_stepper_on_mixed_letters_is_sound(case):
+    n, text = case
+    stepper = MIStepper(n)
+    for kind, a, b, sg in parse_braid_tokens(text):
+        stepper.step(a * sg if kind == "b" else ((a, b), sg))
+    form, beta = stepper.form(), parse_braid(text, n)
+    assert braid_equal(flatten(form), beta)
+    assert form.coset == positive_lift(perm(beta))
 
 
 @given(pure_words(6))

@@ -39,3 +39,43 @@ def test_one_unchecked_reduced_word_constructor():
     assert "ReducedWord" in exported
     assert "_word" not in exported
     assert not hasattr(braidwalk, "_word")
+
+
+EXPORTED = {
+    # words
+    "BoundaryPoint", "INFINITE", "ParseError", "ReducedWord",
+    "VerificationError", "WingCore", "concat", "coset_normalize_left",
+    "gromov", "in_ball", "invert", "left_translate", "parse_free",
+    "pow_infinity", "power", "prefix", "print_free", "reduce", "rho",
+    "wing_core",
+    # braids
+    "BraidWord", "Permutation", "PureWord", "coset_decompose",
+    "free_reduce_braid", "is_pure", "parse_braid", "perm", "positive_lift",
+    "print_braid", "sigma_to_pure", "to_braid",
+    # artin
+    "FreeAutomorphism", "UNDEFINED", "a_word", "apply_braid", "artin_auto",
+    "braid_equal", "occurrence_ratio",
+    # combing
+    "LengthGuardError", "MIForm", "MIStepper", "central_element", "flatten",
+    "identity_form", "mi_braid", "mi_pure", "parse_mi", "print_mi",
+    "rho_action",
+    # boundary
+    "ContractionWitness", "EmpiricalMeasure", "ball_cover_check",
+    "contracting_family", "find_large_wing", "is_eps_contracting",
+    "min_convolution_hit", "q_collection_witness",
+    # walks and experiments
+    "GeneratorDistribution", "Path", "WalkConfig", "sample_paths",
+    "uniform_s", "uniform_sigma", "StabilizationReport",
+    "artin_convergence_run", "emit", "selective_run", "stabilization_run",
+    "theorem2_run",
+}
+
+
+def test_exported_names_are_pinned():
+    # the package API grows or shrinks only together with this set
+    init = ast.parse((SRC / "__init__.py").read_text())
+    names = [alias.name for node in ast.walk(init)
+             if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert len(names) == len(set(names))
+    assert set(names) == EXPORTED
+    assert all(hasattr(braidwalk, name) for name in EXPORTED)
