@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -136,47 +135,15 @@ def _fingerprint(sigma_letters: Sequence[int], n: int,
     return tuple(ms)
 
 
-@dataclass(frozen=True)
-class FreeAutomorphism:
-    """x_k -> images[k - 1]; the images are checked as reduced words of
-    rank n once, here, so `apply` joins them without a rescan."""
-
-    n: int
-    images: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.images) != self.n:
-            raise ValueError(f"need {self.n} images, got {len(self.images)}")
-        object.__setattr__(self, "images", tuple(
-            ReducedWord(w, self.n).letters for w in self.images))
-
-    def apply(self, t: ReducedWord) -> ReducedWord:
-        if t.rank != self.n:
-            raise ValueError("rank mismatch")
-        return _word(_subst(_pairs(self.images), t.letters)[0], self.n)
-
-
-def artin_auto(letter: int, n: int) -> FreeAutomorphism:
-    if not 1 <= abs(letter) < n:
-        raise ValueError(f"sigma index {letter} out of range for n={n}")
-    return FreeAutomorphism(n, _images([letter], n))
-
-
-def _sigma_letters(w: "BraidWord | PureWord") -> tuple[int, ...]:
-    if isinstance(w, PureWord):
-        w = to_braid(w)
-    return w.letters
+def _sigma_word(w: "BraidWord | PureWord") -> BraidWord:
+    return to_braid(w) if isinstance(w, PureWord) else w
 
 
 def apply_braid(w: "BraidWord | PureWord", t: ReducedWord) -> ReducedWord:
     if t.rank != w.n:
         raise ValueError("rank mismatch")
-    pairs = _pairs(_images(_sigma_letters(w), w.n))
+    pairs = _pairs(_images(_sigma_word(w).letters, w.n))
     return _word(_subst(pairs, t.letters)[0], w.n)
-
-
-def braid_auto(w: "BraidWord | PureWord") -> FreeAutomorphism:
-    return FreeAutomorphism(w.n, _images(_sigma_letters(w), w.n))
 
 
 def braid_equal(u: "BraidWord | PureWord", v: "BraidWord | PureWord",
@@ -209,9 +176,10 @@ def braid_equal(u: "BraidWord | PureWord", v: "BraidWord | PureWord",
     if u.n != v.n:
         raise ValueError("strand count mismatch")
     n = u.n
-    lu, lv = _sigma_letters(u), _sigma_letters(v)
-    if perm(BraidWord(n, lu)) != perm(BraidWord(n, lv)):
+    bu, bv = _sigma_word(u), _sigma_word(v)
+    if perm(bu) != perm(bv):
         return False
+    lu, lv = bu.letters, bv.letters
     if sum(1 if l > 0 else -1 for l in lu) != sum(1 if l > 0 else -1
                                                   for l in lv):
         return False
@@ -231,7 +199,7 @@ def a_word(gamma: "BraidWord | PureWord", i: int) -> ReducedWord:
         raise ValueError(f"x-index {i} out of range for n={n}")
     if isinstance(gamma, BraidWord) and not is_pure(gamma):
         raise ValueError("a_word requires a pure braid")
-    w = _images(_sigma_letters(gamma), n)[i - 1]
+    w = _images(_sigma_word(gamma).letters, n)[i - 1]
     m, r = divmod(len(w), 2)
     if r != 1 or w[m] != i or w[:m] != tuple(-l for l in reversed(w[m + 1:])):
         raise VerificationError(

@@ -6,9 +6,9 @@ pure generators s_ji, 1 <= i < j <= n.
 
 Reidemeister-Schreier rewriting over the n! cosets of P_n in B_n is a
 finite transducer.  A coset is the tuple of its permutation's one-line
-images, and `_schreier(coset, letter)` is its one transition, for a
-sigma-letter or an s-letter alike; it is cached, so the transversal
-(`positive_lift`), the conjugation walk (`conjugate_pure`) and the
+images, the tuple `perm` returns, and `_schreier(coset, letter)` is its one
+transition, for a sigma-letter or an s-letter alike; it is cached, so the
+transversal (`_transversal`), the conjugation walk (`conjugate_pure`) and the
 certified table (`_conj_table`) run only to fill a cache miss.
 `sigma_to_pure` and the combing engine (`combing.MIStepper`) both walk it.
 
@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import ParseError, VerificationError, _inv, _red_append
+from .words import ParseError, VerificationError, _inv
 
 PureLetter = tuple[tuple[int, int], int]  # ((j, i), sign)
 
@@ -110,21 +110,10 @@ def free_reduce_pure(w: PureWord) -> PureWord:
 
 
 # ---------------------------------------------------------------------------
-# permutations: positions evolve left-to-right, so the image of a start
-# position under perm(u.v) is perm(v)(perm(u)(x))
+# cosets: a coset of P_n in B_n is its permutation's one-line images, and
+# positions evolve left-to-right, so the image of a start position under
+# perm(u.v) is perm(v)(perm(u)(x))
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Permutation:
-    images: tuple[int, ...]  # images[x-1] = image of x, values 1..n
-
-    def __post_init__(self):
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError("not a bijection on 1..n")
-
-    def is_identity(self) -> bool:
-        return all(self.images[k] == k + 1 for k in range(len(self.images)))
-
 
 def _apply_sigma(images: tuple[int, ...], i: int) -> tuple[int, ...]:
     # appending sigma_i^+-1 swaps the values i, i+1 in the image list
@@ -132,28 +121,28 @@ def _apply_sigma(images: tuple[int, ...], i: int) -> tuple[int, ...]:
     return tuple(swap.get(v, v) for v in images)
 
 
-def perm(w: BraidWord) -> Permutation:
-    images = tuple(range(1, w.n + 1))
+def perm(w: BraidWord) -> tuple[int, ...]:
+    """The coset of w: the one-line images that `_schreier` walks.
+
+    Swapping the values i, i+1 of the images swaps the entries i, i+1 of
+    their inverse, so each letter is one swap in one list.
+    """
+    where = list(range(1, w.n + 1))  # where[v - 1]: the position of v
     for l in w.letters:
-        images = _apply_sigma(images, abs(l))
-    return Permutation(images)
+        i = abs(l)
+        where[i - 1], where[i] = where[i], where[i - 1]
+    return tuple(sorted(range(1, w.n + 1), key=lambda v: where[v - 1]))
 
 
 def is_pure(w: BraidWord) -> bool:
-    return perm(w).is_identity()
-
-
-def positive_lift(p: Permutation) -> BraidWord:
-    """The fixed positive transversal word: bubble-sort decomposition.
-
-    Length equals the inversion count of p, and perm round-trips.
-    """
-    return _transversal(p.images)
+    return perm(w) == tuple(range(1, w.n + 1))
 
 
 @lru_cache(maxsize=None)
 def _transversal(coset: tuple[int, ...]) -> BraidWord:
-    """`positive_lift` of the coset given by its one-line images."""
+    """The fixed positive transversal word of a coset: bubble-sort
+    decomposition.  Its length is the inversion count, and perm of it is
+    the coset again."""
     one_line = list(coset)
     swaps: list[int] = []
     changed = True
@@ -165,17 +154,6 @@ def _transversal(coset: tuple[int, ...]) -> BraidWord:
                 swaps.append(k + 1)
                 changed = True
     return BraidWord(len(coset), tuple(swaps))
-
-
-def coset_decompose(beta: BraidWord) -> tuple[BraidWord, BraidWord]:
-    """beta = gamma . pi with gamma pure and pi the canonical transversal."""
-    pi = positive_lift(perm(beta))
-    gamma = free_reduce_braid(beta * pi.inverse())
-    return gamma, pi
-
-
-def free_reduce_braid(w: BraidWord) -> BraidWord:
-    return BraidWord(w.n, tuple(_red_append([], w.letters)))
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +173,6 @@ def _conj_table(n: int) -> dict[tuple[PureLetter, int], tuple[PureLetter, ...]]:
     letter a, whichever comes first with equal Artin images."""
     from .artin import _images  # deferred: artin imports this module
 
-    def pure_sigma(ls):
-        out = []
-        for (j, i), sg in ls:
-            out += _expand_letters(j, i, sg)
-        return out
-
     table: dict[tuple[PureLetter, int], tuple[PureLetter, ...]] = {}
     letters = _all_pure_letters(n)
     for (pair, sg) in letters:
@@ -214,7 +186,9 @@ def _conj_table(n: int) -> dict[tuple[PureLetter, int], tuple[PureLetter, ...]]:
             found = None
             cands = [[t]] + [[a, t, (a[0], -a[1])] for a in letters]
             for cand in cands:
-                if _images(pure_sigma(cand), n) == target:
+                sigma = [l for (j, i), e in cand
+                         for l in _expand_letters(j, i, e)]
+                if _images(sigma, n) == target:
                     found = tuple(cand)
                     break
             if found is None:
@@ -306,6 +280,13 @@ def parse_braid_tokens(text: str) -> list[tuple[str, int, int, int]]:
                 raise ParseError(f"s-token needs j > i >= 1, got s{j}.{i}", pos)
             out.extend([("s", j, i, 1 if exp > 0 else -1)] * abs(exp))
     return out
+
+
+def parse_letters(text: str) -> list["int | PureLetter"]:
+    """Tokens as the letters `MIStepper.step` takes: b-tokens as signed
+    sigma indices, s-tokens as ((j, i), sign), exponents expanded."""
+    return [a * sg if kind == "b" else ((a, b), sg)
+            for kind, a, b, sg in parse_braid_tokens(text)]
 
 
 def parse_braid(text: str, n: int) -> BraidWord:

@@ -16,7 +16,7 @@ from . import boundary as blab
 from . import reference
 from .artin import a_word, apply_braid, braid_equal
 from .braids import (BraidWord, PureWord, is_pure, parse_braid,
-                     parse_braid_tokens, to_braid)
+                     parse_letters, to_braid)
 from .combing import (DEFAULT_LENGTH_GUARD, LengthGuardError, MIStepper,
                       central_element, print_mi)
 from .experiments import (artin_convergence_run, emit, selective_run,
@@ -69,8 +69,8 @@ def main():
 def mi_cmd(word: str, n: int):
     """Print the normal form of WORD (mixed b/s tokens allowed)."""
     stepper = MIStepper(n)
-    for kind, a, b, sg in parse_braid_tokens(word):
-        stepper.step(a * sg if kind == "b" else ((a, b), sg))
+    for letter in parse_letters(word):
+        stepper.step(letter)
     click.echo(print_mi(stepper.form()))
 
 
@@ -100,8 +100,21 @@ def _resolve_dist(dist: str, n: int) -> GeneratorDistribution:
 
 
 _MODES = ("stabilization", "theorem2", "selective", "artin")
-_CONFIG_KEYS = {"n", "steps", "paths", "seed", "checkpoints", "distribution",
-                "mode", "length_guard", "i"}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_INT = (_is_int, "an integer")
+_CONFIG_TYPES = {  # key -> (type check, what its value must be)
+    "n": _INT, "steps": _INT, "paths": _INT, "seed": _INT,
+    "length_guard": _INT, "i": _INT,
+    "checkpoints": (lambda v: isinstance(v, list) and all(map(_is_int, v)),
+                    "a list of integers"),
+    "mode": (lambda v: isinstance(v, str), "a string"),
+    "distribution": (lambda v: isinstance(v, dict), "an object"),
+}
 
 
 @main.command("walk")
@@ -130,9 +143,14 @@ def walk_cmd(config_path, n, steps, paths, seed, dist, checkpoints, mode,
             obj = json.load(fh)
         if not isinstance(obj, dict):
             raise _Status(2, "config must be a JSON object")
-        unknown = sorted(set(obj) - _CONFIG_KEYS)
+        unknown = sorted(set(obj) - set(_CONFIG_TYPES))
         if unknown:
             raise _Status(2, f"unknown config key(s): {', '.join(unknown)}")
+        for key, value in obj.items():
+            ok, want = _CONFIG_TYPES[key]
+            if not ok(value):
+                raise ValueError(
+                    f"config {key!r} must be {want}, got {value!r}")
         n = obj.get("n", n)
         steps = obj.get("steps", steps)
         paths = obj.get("paths", paths)
@@ -286,6 +304,9 @@ def verify_cmd():
         g = PureWord(4, tuple(reference.REFERENCE_WALK[:t]))
         rows.append((f"x4-image after step {t}",
                      apply_braid(g, x4).letters == want))
+    g3 = PureWord(4, tuple(reference.REFERENCE_WALK[:3]))
+    rows.append(("A4 conjugator after step 3",
+                 a_word(g3, 4).letters == reference.ARTIN_A3))
 
     u = central_element(4)
     ub = to_braid(u)

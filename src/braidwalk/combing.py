@@ -98,11 +98,6 @@ class MIForm:
                 raise ValueError(f"part {lvl} has wrong rank {p.rank}")
 
 
-def identity_form(n: int) -> MIForm:
-    return MIForm(n, tuple(ReducedWord((), n - 1 - k) for k in range(n - 1)),
-                  BraidWord(n, ()))
-
-
 def flatten(form: MIForm) -> BraidWord:
     out: list[int] = []
     for lvl, part in enumerate(form.parts):
@@ -194,20 +189,18 @@ class MIStepper:
         return MIForm(self.n, parts, _transversal(self.coset))
 
 
-def mi_pure(gamma: PureWord,
-            length_guard: int = DEFAULT_LENGTH_GUARD) -> MIForm:
-    """One MIStepper pass over gamma; the guard bounds the final form."""
-    stepper = MIStepper(gamma.n, length_guard)
-    stepper._push(gamma.letters)
-    return stepper.form()
-
-
-def mi_braid(beta: BraidWord,
+def mi_braid(beta: "BraidWord | PureWord",
              length_guard: int = DEFAULT_LENGTH_GUARD) -> MIForm:
     """One MIStepper pass over beta; the guard bounds the final form."""
     stepper = MIStepper(beta.n, length_guard)
     stepper._push(beta.letters)
     return stepper.form()
+
+
+def mi_pure(gamma: PureWord,
+            length_guard: int = DEFAULT_LENGTH_GUARD) -> MIForm:
+    """The normal form of a pure s-word: the same pass as `mi_braid`."""
+    return mi_braid(gamma, length_guard)
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +245,3 @@ def parse_mi(text: str, n: int) -> MIForm:
         coset_letters.append(i * sg)
     return MIForm(n, tuple(parts), BraidWord(n, tuple(coset_letters)))
 
-
-def flat_tokens(form: MIForm) -> list[str]:
-    """Serialization used for lcp diagnostics: part tokens with explicit
-    separators, so part-boundary shifts register as divergence."""
-    toks: list[str] = []
-    for lvl, part in enumerate(form.parts):
-        row = form.n - lvl
-        toks += [f"s{row}.{abs(l)}" + ("^-1" if l < 0 else "")
-                 for l in part.letters]
-        toks.append("|")
-    toks[-1] = ";"
-    toks += [f"b{abs(l)}" + ("^-1" if l < 0 else "")
-             for l in form.coset.letters]
-    return toks

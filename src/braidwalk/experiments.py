@@ -15,18 +15,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .artin import a_word, occurrence_ratio
-from .braids import PureLetter, PureWord, parse_braid_tokens
+from .braids import PureLetter, PureWord
 from .combing import LengthGuardError, MIForm, MIStepper, central_element
 from .walks import Path, WalkConfig, distribution_to_json, sample_paths
 from .words import ReducedWord, _common_prefix, _word, concat, gromov, invert
 
 SCHEMA_FIXED = ["path_id", "step", "mi_len", "lcp_final"]
 SCHEMA_TAIL = ["x_gromov", "sel_gromov", "a_lcp"]
-
-
-def _token_letter(token: str) -> "int | PureLetter":
-    kind, a, b, sg = parse_braid_tokens(token)[0]
-    return a * sg if kind == "b" else ((a, b), sg)
 
 
 def _central_y(n: int) -> ReducedWord:
@@ -65,8 +60,8 @@ def run_experiment(config: WalkConfig, *, track_x: bool = True,
     u_y = _central_y(n) if (track_x or selective) else None
     u_pm = {1: u_y, -1: invert(u_y)} if u_y is not None else None
     report = StabilizationReport(config, [], [])
-    letter_of = {tok: _token_letter(tok)
-                 for tok, _ in config.distribution.atoms}
+    dist = config.distribution
+    letter_of = {tok: l for (tok, _), l in zip(dist.atoms, dist.letters)}
     for path in sample_paths(config):
         try:
             rows = _run_path(path, config, checkpoints, letter_of, u_pm,

@@ -8,34 +8,47 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 
-from .braids import parse_braid_tokens
+from .braids import PureLetter, parse_letters
 from .words import ParseError
 
 
 @dataclass(frozen=True)
 class GeneratorDistribution:
-    """Positive rational weights on generator tokens (one shared alphabet)."""
+    """Positive rational weights on generator tokens (one shared alphabet).
+
+    Each atom's token is parsed once, here, into the one letter it names;
+    `letters[k]` is the letter of `atoms[k]`.
+    """
 
     kind: str  # "uniform-s" | "uniform-sigma" | "custom"
     atoms: tuple[tuple[str, Fraction], ...]
+    letters: tuple["int | PureLetter", ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if sum((w for _, w in self.atoms), Fraction(0)) != 1:
             raise ValueError("weights must sum to 1")
         if any(w <= 0 for _, w in self.atoms):
             raise ValueError("weights must be positive")
-        kinds = {parse_braid_tokens(t)[0][0] for t, _ in self.atoms}
-        if len(kinds) > 1:
+        letters = []
+        for tok, _ in self.atoms:
+            parsed = parse_letters(tok)
+            if len(parsed) != 1:
+                raise ValueError(
+                    f"atom {tok!r} must be one sigma- or s-letter")
+            letters.append(parsed[0])
+        if len({isinstance(l, int) for l in letters}) > 1:
             raise ValueError("atoms must share one alphabet")
+        object.__setattr__(self, "letters", tuple(letters))
 
     def is_pure(self) -> bool:
-        return all(parse_braid_tokens(t)[0][0] == "s" for t, _ in self.atoms)
+        return not any(isinstance(l, int) for l in self.letters)
 
 
 def uniform_s(n: int) -> GeneratorDistribution:

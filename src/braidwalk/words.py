@@ -45,16 +45,6 @@ class VerificationError(RuntimeError):
     the program, never of its input."""
 
 
-def _red_append(buf: list[int], letters: Iterable[int]) -> list[int]:
-    """Append letters to a reduced buffer, cancelling at the junction."""
-    for l in letters:
-        if buf and buf[-1] == -l:
-            buf.pop()
-        else:
-            buf.append(l)
-    return buf
-
-
 def _inv(letters: Sequence[int]) -> list[int]:
     return [-l for l in reversed(letters)]
 
@@ -180,7 +170,13 @@ def _word(letters: tuple[int, ...], rank: int) -> ReducedWord:
 
 def reduce(letters: Iterable[int], rank: int) -> ReducedWord:
     """The unique reduced representative of a raw letter sequence."""
-    return ReducedWord(tuple(_red_append([], letters)), rank)
+    buf: list[int] = []
+    for l in letters:
+        if buf and buf[-1] == -l:
+            buf.pop()
+        else:
+            buf.append(l)
+    return ReducedWord(tuple(buf), rank)
 
 
 def _check_rank(u: ReducedWord, v: "ReducedWord | BoundaryPoint") -> None:
@@ -351,31 +347,10 @@ def rho(x: Point, y: Point) -> Fraction:
     return Fraction(1, g + 1)
 
 
-def in_ball(w: Point, center: BoundaryPoint, k: int) -> bool:
-    """Membership in the cylinder ball B_{1/k}(center): common (k-1)-prefix."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    return gromov(w, center) >= k - 1
-
-
 def left_translate(a: ReducedWord, w: BoundaryPoint) -> BoundaryPoint:
     _check_rank(a, w)
     h = concat(a, w.head)
     return BoundaryPoint.make(h, w.period)
-
-
-def coset_normalize_left(w: ReducedWord, c: ReducedWord) -> tuple[int, ReducedWord]:
-    """Minimal-length representative of w in the left <c>-coset.
-
-    Tie-break: smallest |k|, then smallest k.  The search window is finite
-    because |c^k w| is eventually increasing in |k|.
-    """
-    if c.is_empty():
-        raise ValueError("translation element must be nontrivial")
-    window = len(w) + len(c) + 2
-    reps = {k: concat(power(c, k), w) for k in range(-window, window + 1)}
-    k = min(reps, key=lambda k: (len(reps[k]), abs(k), k))
-    return k, reps[k]
 
 
 # ---------------------------------------------------------------------------

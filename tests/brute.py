@@ -1,6 +1,6 @@
 """Brute-force references for the tests: plain enumerations, a plain free
-reduction and plain permutation counts that share no code with the kernel
-they check."""
+reduction, plain permutation counts and a plain token serialization of
+normal forms that share no code with the kernel they check."""
 
 from __future__ import annotations
 
@@ -62,3 +62,19 @@ def inversions(images: tuple[int, ...]) -> int:
     """Number of pairs a < b with images[a] > images[b]."""
     return sum(1 for a in range(len(images)) for b in range(a + 1, len(images))
                if images[a] > images[b])
+
+
+def flat_tokens(form) -> list[str]:
+    """The flat token serialization of an MI form: part tokens, "|" between
+    parts, ";" before the coset, so part-boundary shifts register as
+    divergence.  The reference for `experiments._form_lcp` and `_flat_len`."""
+    toks: list[str] = []
+    for lvl, part in enumerate(form.parts):
+        row = form.n - lvl
+        toks += [f"s{row}.{abs(l)}" + ("^-1" if l < 0 else "")
+                 for l in part.letters]
+        toks.append("|")
+    toks[-1] = ";"
+    toks += [f"b{abs(l)}" + ("^-1" if l < 0 else "")
+             for l in form.coset.letters]
+    return toks

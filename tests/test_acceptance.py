@@ -14,11 +14,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from braidwalk.artin import apply_braid, braid_equal
+from braidwalk.artin import a_word, apply_braid, braid_equal
 from braidwalk.boundary import (ball_cover_check, find_large_wing,
                                 min_convolution_hit)
 from braidwalk.braids import (BraidWord, PureWord, _conj_table,
-                              _expand_letters, parse_braid, perm,
+                              _expand_letters, is_pure, parse_braid,
                               sigma_to_pure, to_braid)
 from braidwalk.combing import MIStepper, central_element, mi_braid, mi_pure, \
     flatten, print_mi
@@ -97,6 +97,8 @@ def test_criterion_02_golden_artin_table():
                     (3, reference.ARTIN_G3_X4), (4, reference.ARTIN_G3_X4)):
         g = PureWord(N, tuple(reference.REFERENCE_WALK[:t]))
         ok &= apply_braid(g, x4).letters == want
+    gamma3 = PureWord(N, tuple(reference.REFERENCE_WALK[:3]))
+    ok &= a_word(gamma3, 4).letters == reference.ARTIN_A3
     ok &= time.time() - t0 < 1.0
     _report(2, "golden Artin-image table", ok)
 
@@ -205,7 +207,7 @@ def test_criterion_09_schreier_roundtrip_and_conj_tables():
                         * (1 if rng.integers(0, 2) else -1)
                         for _ in range(length))
         w = BraidWord(N, letters)
-        if not perm(w).is_identity():
+        if not is_pure(w):
             continue
         done += 1
         ok &= braid_equal(to_braid(sigma_to_pure(w)), w)

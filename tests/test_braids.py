@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidwalk.artin import braid_equal
-from braidwalk.braids import (BraidWord, Permutation, PureWord,
-                              _all_pure_letters, _conj_table, _expand_letters,
-                              _schreier, coset_decompose, free_reduce_braid,
-                              is_pure, parse_braid, perm, positive_lift,
+from braidwalk.braids import (BraidWord, PureWord, _all_pure_letters,
+                              _conj_table, _expand_letters, _schreier,
+                              _transversal, is_pure, parse_braid, perm,
                               print_braid, sigma_to_pure, to_braid)
 from braidwalk.words import ParseError
 from brute import compose_images, inversions
@@ -43,35 +42,33 @@ def test_braid_word_validates_indices():
 
 @given(braid_words(), braid_words())
 def test_perm_is_a_homomorphism(u, v):
-    assert perm(u * v).images == compose_images(perm(u).images,
-                                                perm(v).images)
+    assert perm(u * v) == compose_images(perm(u), perm(v))
 
 
 @given(braid_words())
 def test_inverse_gives_inverse_permutation(u):
-    assert perm(u * u.inverse()).is_identity()
+    assert is_pure(u * u.inverse())
 
 
 @given(braid_words())
 def test_positive_lift_roundtrip(u):
     p = perm(u)
-    lift = positive_lift(p)
+    lift = _transversal(p)
     assert perm(lift) == p
-    assert len(lift) == inversions(p.images)
+    assert len(lift) == inversions(p)
     assert all(l > 0 for l in lift.letters)
+
+
+def pure_part(u):
+    """gamma = u . pi^-1, pure, for the transversal pi of u's coset."""
+    return u * _transversal(perm(u)).inverse()
 
 
 @given(braid_words())
 def test_coset_decompose(u):
-    gamma, pi = coset_decompose(u)
+    gamma, pi = pure_part(u), _transversal(perm(u))
     assert is_pure(gamma)
-    assert pi == positive_lift(perm(u))
     assert braid_equal(gamma * pi, u)
-
-
-def test_permutation_validates():
-    with pytest.raises(ValueError):
-        Permutation((1, 1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +132,7 @@ def test_conj_table_entries_are_core_or_conjugated_core(n):
 @given(braid_words(max_size=10))
 @settings(max_examples=60)
 def test_sigma_to_pure_roundtrip(u):
-    gamma, _ = coset_decompose(u)  # make it pure
+    gamma = pure_part(u)
     s_word = sigma_to_pure(gamma)
     assert braid_equal(to_braid(s_word), gamma)
 
@@ -157,17 +154,16 @@ def test_schreier_transitions_against_oracle(n):
     # lift(c) . s = emitted . lift(c) for an s-letter s
     sigmas = [l * e for l in range(1, n) for e in (1, -1)]
     for images in permutations(range(1, n + 1)):
-        lift = positive_lift(Permutation(images))
+        lift = _transversal(images)
         for letter in sigmas + _all_pure_letters(n):
             new, emitted = _schreier(images, letter)
             if isinstance(letter, int):
                 step = BraidWord(n, (letter,))
-                assert new == perm(lift * step).images
+                assert new == perm(lift * step)
             else:
                 step = to_braid(PureWord(n, (letter,)))
                 assert new == images
-            rhs = to_braid(PureWord(n, emitted)) * positive_lift(
-                Permutation(new))
+            rhs = to_braid(PureWord(n, emitted)) * _transversal(new)
             assert braid_equal(lift * step, rhs)
 
 
@@ -193,5 +189,5 @@ def test_parse_errors_carry_positions():
 
 
 def test_identity_perm_and_free_reduce():
-    assert perm(BraidWord(N, ())).is_identity()
-    assert free_reduce_braid(BraidWord(N, (1, -1, 2))).letters == (2,)
+    assert perm(BraidWord(N, ())) == (1, 2, 3, 4)
+    assert is_pure(BraidWord(N, (1, -1, 2, -2)))

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
@@ -145,6 +146,38 @@ def test_walk_artin_index_out_of_range_is_exit_2():
         assert_input_error(proc)
         assert f"x-index {index} out of range" in proc.stderr
         assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("token", ["b1^2", "e"])
+def test_walk_atom_that_is_not_one_letter_is_exit_2(tmp_path, token):
+    # b1^2 was once sampled whole and combed as b1; e raised IndexError
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps({"atoms": [
+        {"token": token, "weight": "1/2"}, {"token": "b2", "weight": "1/2"}]}))
+    proc = run_process("walk", "--n", "3", "--steps", "4", "--paths", "1",
+                       "--seed", "1", "--dist", str(dist))
+    assert_input_error(proc)
+    assert "one sigma- or s-letter" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("cfg", [
+    {"steps": "5"},
+    {"n": 4, "steps": 5, "paths": 2, "length_guard": "x"},
+    {"checkpoints": 5},
+    {"checkpoints": [1, "2"]},
+    {"n": True},
+    {"i": 2.0},
+    {"mode": 3},
+    {"distribution": 5},
+])
+def test_walk_config_value_of_wrong_type_is_exit_2(tmp_path, cfg):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    proc = run_process("walk", "--config", str(p))
+    assert_input_error(proc)
+    assert proc.stderr.startswith("invalid input: config ")
+    assert proc.stdout == ""
 
 
 def test_verification_failure_is_exit_1():

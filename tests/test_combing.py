@@ -8,15 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from braidwalk.artin import braid_equal
 from braidwalk.braids import (BraidWord, PureWord, _expand_letters,
-                              coset_decompose, is_pure, parse_braid,
-                              parse_braid_tokens, perm, positive_lift,
-                              sigma_to_pure, to_braid)
+                              _transversal, is_pure, parse_braid,
+                              parse_letters, perm, sigma_to_pure, to_braid)
 from braidwalk.combing import (LengthGuardError, MIForm, MIStepper,
                                _pure_conj_images,
-                               central_element, flat_tokens, flatten,
-                               identity_form, mi_braid, mi_pure, parse_mi,
-                               print_mi, rho_action)
+                               central_element, flatten, mi_braid, mi_pure,
+                               parse_mi, print_mi, rho_action)
 from braidwalk.words import ParseError, reduce
+from brute import flat_tokens
 
 N = 4
 
@@ -32,6 +31,12 @@ def braid_words(max_size=8):
     letter = st.integers(1, N - 1).flatmap(lambda i: st.sampled_from([i, -i]))
     return st.lists(letter, max_size=max_size).map(
         lambda ls: BraidWord(N, tuple(ls)))
+
+
+def identity_form(n):
+    """The normal form of the empty word: every part empty, no coset."""
+    return MIForm(n, tuple(reduce((), n - 1 - k) for k in range(n - 1)),
+                  BraidWord(n, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +168,68 @@ def ranked_braid_words(draw):
 def test_mi_braid_equals_decompose_then_rewrite(beta):
     # a second route to the form: split off the transversal, rewrite the
     # pure sigma-word into s-letters and comb those
-    form = mi_pure(sigma_to_pure(coset_decompose(beta)[0]))
-    assert mi_braid(beta) == MIForm(beta.n, form.parts,
-                                    positive_lift(perm(beta)))
+    lift = _transversal(perm(beta))
+    form = mi_pure(sigma_to_pure(beta * lift.inverse()))
+    assert mi_braid(beta) == MIForm(beta.n, form.parts, lift)
+
+
+def _braid_triples(v):
+    """Sites k where v[k:k+3] is x y x with |x|, |y| adjacent, one sign."""
+    return [k for k in range(len(v) - 2)
+            if v[k] == v[k + 2] and abs(abs(v[k]) - abs(v[k + 1])) == 1
+            and (v[k] > 0) == (v[k + 1] > 0)]
+
+
+@st.composite
+def relation_moves(draw):
+    """(n, u, v): a sigma-word u in B_3..B_5 and a word v that the group
+    presentation turns into u, reached by 1-4 moves: insert a free pair,
+    insert a braid relator, insert a far-commutation relator, or rewrite
+    x y x as y x y."""
+    n = draw(st.integers(3, 5))
+    letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i]))
+    u = draw(st.lists(letter, max_size=12))
+    v = list(u)
+    for _ in range(draw(st.integers(1, 4))):
+        move = draw(st.sampled_from(["free", "braid", "far", "rewrite"]))
+        i = draw(st.integers(1, n - 1))
+        e = draw(st.sampled_from([1, -1]))
+        far = [j for j in range(1, n) if abs(i - j) >= 2]
+        if move == "far" and far:
+            j = draw(st.sampled_from(far))
+            rel = [e * i, e * j, -e * i, -e * j]
+        elif move == "braid":
+            a, b = min(i, n - 2), min(i, n - 2) + 1
+            rel = [a, b, a, -b, -a, -b]
+            if e < 0:
+                rel = [-l for l in reversed(rel)]
+        elif move == "rewrite":
+            sites = _braid_triples(v)
+            if not sites:  # make a site: x y x x^-1 y^-1 x^-1 is trivial
+                x, y = e * min(i, n - 2), e * (min(i, n - 2) + 1)
+                cut = draw(st.integers(0, len(v)))
+                v[cut:cut] = [x, y, x, -x, -y, -x]
+                sites = [cut]
+            k = draw(st.sampled_from(sites))
+            v[k:k + 3] = [v[k + 1], v[k], v[k + 1]]
+            continue
+        else:
+            rel = [e * i, -e * i]
+        cut = draw(st.integers(0, len(v)))
+        v[cut:cut] = rel
+    return n, u, v
+
+
+@given(relation_moves())
+@settings(max_examples=120, deadline=None)
+def test_normal_form_is_invariant_under_relation_moves(case):
+    # the oracle is the group presentation itself: no Artin images, so the
+    # coset tuple that the stepper walks and the form's transversal are
+    # checked apart from `artin`
+    n, u, v = case
+    fu, fv = mi_braid(BraidWord(n, tuple(u))), mi_braid(BraidWord(n, tuple(v)))
+    assert fu == fv
+    assert fu.coset == _transversal(perm(BraidWord(n, tuple(v))))
 
 
 @st.composite
@@ -185,11 +249,12 @@ def mixed_texts(draw):
 def test_stepper_on_mixed_letters_is_sound(case):
     n, text = case
     stepper = MIStepper(n)
-    for kind, a, b, sg in parse_braid_tokens(text):
-        stepper.step(a * sg if kind == "b" else ((a, b), sg))
+    for letter in parse_letters(text):
+        stepper.step(letter)
     form, beta = stepper.form(), parse_braid(text, n)
     assert braid_equal(flatten(form), beta)
-    assert form.coset == positive_lift(perm(beta))
+    assert stepper.coset == perm(beta)
+    assert form.coset == _transversal(perm(beta))
 
 
 @given(pure_words(6))
@@ -232,8 +297,8 @@ def test_stepper_rejects_letters_outside_b4(letter, message):
 
 
 def test_identity_form():
-    f = identity_form(N)
-    assert all(p.is_empty() for p in f.parts)
+    f = MIStepper(N).form()
+    assert f == identity_form(N)
     assert len(flatten(f)) == 0
 
 

@@ -6,11 +6,12 @@ import json
 
 import pytest
 
-from braidwalk.combing import MIStepper, flat_tokens, mi_braid
+from braidwalk.combing import MIStepper, mi_braid
 from braidwalk.experiments import (_flat_len, _form_lcp, artin_convergence_run,
                                    emit, selective_run, stabilization_run,
                                    theorem2_run)
 from braidwalk.walks import WalkConfig, uniform_s, uniform_sigma
+from brute import flat_tokens
 
 CFG = WalkConfig(4, 12, 4, 3, uniform_s(4), (4, 8, 12))
 

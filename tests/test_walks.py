@@ -87,6 +87,24 @@ def test_distribution_validation():
                                          ("s2.1", Fraction(1, 2))))
 
 
+@pytest.mark.parametrize("atom", ["b1^2", "s2.1^-2", "b1 b2", "e", "b1^0"])
+def test_atoms_must_be_one_letter(atom):
+    # a power would be sampled whole but combed as its first letter, and an
+    # empty atom has no letter at all
+    with pytest.raises(ValueError, match="one sigma- or s-letter"):
+        GeneratorDistribution("custom", ((atom, Fraction(1, 2)),
+                                         ("b2", Fraction(1, 2))))
+
+
+def test_atoms_are_parsed_once_into_letters():
+    d = GeneratorDistribution("custom", (("b2^-1", Fraction(1, 3)),
+                                         ("b1^1", Fraction(2, 3))))
+    assert d.letters == (-2, 1)
+    assert uniform_s(3).letters == (((2, 1), 1), ((2, 1), -1), ((3, 1), 1),
+                                    ((3, 1), -1), ((3, 2), 1), ((3, 2), -1))
+    assert d == GeneratorDistribution(d.kind, d.atoms)
+
+
 def test_sampling_is_deterministic_and_order_free():
     cfg = WalkConfig(4, 25, 6, 123, uniform_s(4), (10, 25))
     a = sample_paths(cfg)

@@ -9,8 +9,7 @@ from hypothesis import given, strategies as st
 
 from braidwalk.words import (BoundaryPoint, INFINITE, ParseError, RankError,
                              ReducedWord, _common_prefix, _join, _subst,
-                             concat, coset_normalize_left,
-                             gromov, in_ball, invert, left_translate,
+                             concat, gromov, invert, left_translate,
                              parse_free, pow_infinity, power, prefix,
                              print_free, reduce, rho, wing_core)
 
@@ -266,27 +265,11 @@ def test_lemma_f5(a):
     assert rho(a, pow_infinity(a, +1)) < Fraction(2, len(a))
 
 
-@given(nontrivial_words(6), words(8), st.integers(1, 5))
-def test_ball_nesting(a, w, k):
-    center = pow_infinity(a, +1)
-    if in_ball(w, center, k + 1):
-        assert in_ball(w, center, k)
-
-
 @given(words(5), words(5), nontrivial_words(4))
 def test_left_translate_action_law(u, v, a):
     p = pow_infinity(a, +1)
     assert left_translate(concat(u, v), p) == \
         left_translate(u, left_translate(v, p))
-
-
-@given(words(8), nontrivial_words(4))
-def test_coset_normalize_left_minimality(w, c):
-    k, rep = coset_normalize_left(w, c)
-    assert rep == concat(power(c, k), w)
-    # brute-force window: no shorter representative
-    for q in range(-6, 7):
-        assert len(rep) <= len(concat(power(c, q), w))
 
 
 # ---------------------------------------------------------------------------
